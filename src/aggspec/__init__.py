@@ -41,12 +41,20 @@ from .pseudomode import (
 from .spectra import (
     CorrelationTrace,
     Spectrum,
+    TraceTailError,
     absorption_from_trace,
     cumulant_oracle,
     markov_oracle,
     mean_shift,
     overlap,
 )
-from .zofe import BathTerms, ZofeState, coupling_operators, propagate_zofe, zofe_rhs
+from .zofe import (
+    BathTerms,
+    ZofeState,
+    coupling_operators,
+    propagate_zofe,
+    propagate_zofe_lanes,
+    zofe_rhs,
+)
 
 __version__ = "0.1.0"

@@ -17,6 +17,12 @@ Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
 Output files are plain TSV with ``#`` headers and 17-significant-digit
 numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
+The ZOFE side of a run propagates all its couplings as one lane batch
+(``propagate_zofe_lanes``).  In a scan, lanes stopped by the norm guard rerun
+together at dt/2, up to three halvings; ``--threads`` splits the scan into
+contiguous chunks of lanes, one per worker process.  A lane's result does not
+depend on the batch it ran in, so the files do not depend on the split.
+
 Exit codes: 0 ok, 1 config error, 2 solver error, 3 partial scan.
 """
 
@@ -34,8 +40,8 @@ import numpy as np
 from .model import AggregateSpec, LorentzianBath, huang_rhys_to_gamma
 from .propagation import PropagationConfig, PropagationError, default_time_step
 from .pseudomode import converge_caps, default_nu_grid, pm_correlation
-from .spectra import absorption_from_trace, overlap
-from .zofe import propagate_zofe
+from .spectra import CorrelationTrace, TraceTailError, absorption_from_trace, overlap
+from .zofe import propagate_zofe_lanes
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "run_spectrum",
            "run_vscan", "run_converge", "main"]
@@ -305,79 +311,117 @@ def _resolve_caps(cfg: ScenarioConfig, agg: AggregateSpec):
     return (b_tot, b_mode)
 
 
-def _solve(method, agg, cfg: ScenarioConfig, caps=None):
-    if method == "zofe":
-        return propagate_zofe(agg, cfg.bath, cfg.propagation)
-    caps = caps if caps is not None else _resolve_caps(cfg, agg)
+def _pm_trace(agg, cfg: ScenarioConfig, caps):
     return pm_correlation(
         agg, cfg.bath, cfg.propagation, caps=caps,
         doubling=cfg.doubling, max_states=cfg.max_states,
     )
 
 
+def _write_trace_and_spectrum(out, method, suffix, trace, cfg: ScenarioConfig):
+    spectrum = absorption_from_trace(trace, cfg.eta, cfg.nu)
+    return [
+        _write_tsv(out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
+                   zip(trace.times, trace.samples.real, trace.samples.imag)),
+        _write_tsv(out / f"spectrum_{method}{suffix}.tsv", ("nu", "A"),
+                   zip(spectrum.nu, spectrum.values)),
+    ]
+
+
+def _write_zofe_lanes(out, aggs, suffixes, cfg: ScenarioConfig):
+    """All couplings as one ZOFE batch; the first guard trip is an error."""
+    traces = propagate_zofe_lanes(aggs, cfg.bath, cfg.propagation)
+    for trace in traces:
+        if isinstance(trace, PropagationError):
+            raise trace
+    written = []
+    for suffix, trace in zip(suffixes, traces):
+        written += _write_trace_and_spectrum(out, "zofe", suffix, trace, cfg)
+    return written
+
+
 def run_spectrum(cfg: ScenarioConfig, out_dir) -> list:
     """Write spectrum_<method>[.V..].tsv and trace_<method>[.V..].tsv files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    methods = ("zofe", "pm") if cfg.method == "both" else (cfg.method,)
     couplings = cfg.v_values if cfg.v_values else (None,)
+    aggs = [cfg.aggregate if v is None else dataclasses.replace(cfg.aggregate, coupling_v=v)
+            for v in couplings]
+    suffixes = ["" if v is None else f"_V{v:g}" for v in couplings]
     written = []
-    for v in couplings:
-        agg = cfg.aggregate if v is None else dataclasses.replace(cfg.aggregate, coupling_v=v)
-        suffix = "" if v is None else f"_V{v:g}"
-        caps = None
-        for method in methods:
-            if method == "pm" and caps is None:
-                caps = _resolve_caps(cfg, agg)
-            trace = _solve(method, agg, cfg, caps=caps)
-            spectrum = absorption_from_trace(trace, cfg.eta, cfg.nu)
-            written.append(_write_tsv(
-                out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
-                zip(trace.times, trace.samples.real, trace.samples.imag),
-            ))
-            written.append(_write_tsv(
-                out / f"spectrum_{method}{suffix}.tsv", ("nu", "A"),
-                zip(spectrum.nu, spectrum.values),
-            ))
+    if cfg.method in ("zofe", "both"):
+        # returns before any pseudomode work, which frees the sample block
+        written += _write_zofe_lanes(out, aggs, suffixes, cfg)
+    if cfg.method in ("pm", "both"):
+        for agg, suffix in zip(aggs, suffixes):
+            trace = _pm_trace(agg, cfg, _resolve_caps(cfg, agg))
+            written += _write_trace_and_spectrum(out, "pm", suffix, trace, cfg)
     return written
 
 
-def _zofe_with_step_ladder(agg, cfg: ScenarioConfig, halvings=3):
-    """Deterministic retry: halve dt (up to ``halvings`` times) when the
-    norm guard aborts a run.
+def _lane_spectra(aggs, cfg: ScenarioConfig, config: PropagationConfig):
+    """One ZOFE batch; each lane's spectrum, or the error that stopped it.
+
+    The traces are transformed as soon as the batch returns, so their shared
+    sample block is freed when this function returns.
+    """
+    results = []
+    for result in propagate_zofe_lanes(aggs, cfg.bath, config):
+        if isinstance(result, CorrelationTrace):
+            try:
+                result = absorption_from_trace(result, cfg.eta, cfg.nu)
+            except TraceTailError as exc:
+                # without its traceback, which would keep the trace alive
+                result = exc.with_traceback(None)
+        results.append(result)
+    return results
+
+
+def _zofe_scan_spectra(aggs, cfg: ScenarioConfig, halvings=3):
+    """ZOFE spectra of the scan lanes, with a deterministic step ladder.
 
     The auxiliary feedback of the reduced-space method has narrow coupling
-    windows with sharp transients; a scan should resolve them with a smaller
-    step instead of failing, and the ladder keeps results independent of how
-    the scan is parallelized.
+    windows with sharp transients; a scan resolves them with a smaller step
+    instead of failing.  Lanes the norm guard stopped rerun together at dt/2,
+    up to ``halvings`` times, so each lane ends at the first dt of the ladder
+    that its guard accepts, however the lanes are batched.
     """
+    results = [None] * len(aggs)
+    pending = list(range(len(aggs)))
     dt = cfg.propagation.dt
-    while True:
-        try:
-            return propagate_zofe(
-                agg, cfg.bath, PropagationConfig(dt=dt, t_max=cfg.propagation.t_max)
-            )
-        except PropagationError:
-            if halvings == 0:
-                raise
-            halvings -= 1
-            dt /= 2.0
+    while pending:
+        config = PropagationConfig(dt=dt, t_max=cfg.propagation.t_max)
+        batch = _lane_spectra([aggs[i] for i in pending], cfg, config)
+        retry = []
+        for lane, result in zip(pending, batch):
+            if isinstance(result, PropagationError) and halvings > 0:
+                retry.append(lane)
+            else:
+                results[lane] = result
+        pending, halvings, dt = retry, halvings - 1, dt / 2.0
+    return results
 
 
-def _vscan_point(payload):
-    """One scan point; returns (v, overlap or nan, error, spectra or None)."""
-    cfg, v, caps = payload
-    agg = dataclasses.replace(cfg.aggregate, coupling_v=v)
+def _vscan_point(agg, cfg: ScenarioConfig, caps, spec_z):
+    """Pseudomode side of one scan point; returns (overlap or nan, error, spectra)."""
+    if isinstance(spec_z, Exception):
+        return float("nan"), str(spec_z), None
     try:
-        trace_z = _zofe_with_step_ladder(agg, cfg)
-        trace_p = _solve("pm", agg, cfg, caps=caps)
-        spec_z = absorption_from_trace(trace_z, cfg.eta, cfg.nu)
-        spec_p = absorption_from_trace(trace_p, cfg.eta, cfg.nu)
-        value = overlap(spec_z, spec_p)
-    except (PropagationError, ValueError) as exc:
-        return v, float("nan"), str(exc), None
+        spec_p = absorption_from_trace(_pm_trace(agg, cfg, caps), cfg.eta, cfg.nu)
+    except (PropagationError, TraceTailError) as exc:
+        return float("nan"), str(exc), None
     kept = (spec_z.values, spec_p.values) if cfg.keep_spectra else None
-    return v, value, None, kept
+    return overlap(spec_z, spec_p), None, kept
+
+
+def _vscan_chunk(payload):
+    """A contiguous chunk of scan points: one ZOFE batch, then the pseudomode
+    side point by point.  Returns [(v, overlap or nan, error, spectra)]."""
+    cfg, v_chunk, caps = payload
+    aggs = [dataclasses.replace(cfg.aggregate, coupling_v=v) for v in v_chunk]
+    spectra_z = _zofe_scan_spectra(aggs, cfg)
+    return [(v, *_vscan_point(agg, cfg, caps, spec_z))
+            for v, agg, spec_z in zip(v_chunk, aggs, spectra_z)]
 
 
 def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
@@ -403,12 +447,13 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
         cfg.aggregate, coupling_v=float(v_grid[np.argmax(np.abs(v_grid))])
     )
     caps = _resolve_caps(cfg, caps_agg)
-    payloads = [(cfg, float(v), caps) for v in v_grid]
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_vscan_point, payloads, chunksize=1))
+    chunks = np.array_split(v_grid, max(1, min(threads, v_grid.size)))
+    payloads = [(cfg, [float(v) for v in chunk], caps) for chunk in chunks]
+    if len(payloads) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            results = [row for rows in pool.map(_vscan_chunk, payloads) for row in rows]
     else:
-        results = [_vscan_point(p) for p in payloads]
+        results = _vscan_chunk(payloads[0])
 
     written = []
     n_failed = 0
@@ -465,21 +510,12 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=("zofe", "pm", "both"),
                        help="override the configured method")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (used by scan points; never "
-                            "changes file contents)")
+                       help="worker processes (a scan is split into chunks of "
+                            "lanes; never changes file contents)")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_scenario(args.config, method_override=args.method)
-        if args.command == "vscan" and cfg.method != "both":
-            raise ConfigError("vscan requires method = both")
-        if args.command == "vscan" and cfg.scan is None:
-            raise ConfigError("vscan needs a [scan] block")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "spectrum":
             run_spectrum(cfg, args.out)
         elif args.command == "vscan":
@@ -488,6 +524,9 @@ def main(argv=None) -> int:
                 return 3
         else:
             run_converge(cfg, args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (PropagationError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2

@@ -24,15 +24,12 @@ class PropagationConfig:
 
     dt: float
     t_max: float
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.t_max < self.dt:
             raise ValueError("t_max must be at least one step")
-        if self.integrator != "rk4":
-            raise ValueError("only the fixed-step rk4 integrator is supported")
 
     @property
     def n_steps(self):

@@ -274,13 +274,25 @@ def propagate_pm(
         for k in range(half_steps):
             psi = _rk4_step(matrix, psi, dt)
             samples[k + 1] = mu_tot_sq * np.dot(psi, psi)
-        return CorrelationTrace(dt=2.0 * dt, samples=samples, mu_tot_sq=mu_tot_sq)
+        return _checked_trace(2.0 * dt, samples, mu_tot_sq)
     samples = np.empty(n_steps + 1, dtype=complex)
     psi = psi0_embedded.copy()
     samples[0] = mu_tot_sq * np.vdot(psi0_embedded, psi)
     for k in range(n_steps):
         psi = _rk4_step(matrix, psi, dt)
         samples[k + 1] = mu_tot_sq * np.vdot(psi0_embedded, psi)
+    return _checked_trace(dt, samples, mu_tot_sq)
+
+
+def _checked_trace(dt, samples, mu_tot_sq):
+    # The generator -1j H - D (D >= 0) never increases the norm, so a
+    # non-finite sample can only come from an unstable step.  One check after
+    # the loop costs nothing per step.
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise PropagationError(
+            f"pseudomode trace is not finite from t = {bad[0] * dt:.4g}; dt too large"
+        )
     return CorrelationTrace(dt=dt, samples=samples, mu_tot_sq=mu_tot_sq)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,12 +6,17 @@ import pytest
 
 from aggspec.cli import (
     ConfigError,
+    _zofe_scan_spectra,
     load_scenario,
     main,
     run_converge,
     run_spectrum,
     run_vscan,
 )
+from aggspec.model import AggregateSpec, LorentzianBath
+from aggspec.propagation import PropagationConfig, PropagationError
+from aggspec.spectra import absorption_from_trace
+from aggspec.zofe import propagate_zofe
 
 MONOMER_CFG = """
 [aggregate]
@@ -194,14 +200,43 @@ def test_vscan_single_point_at_zero_coupling(tmp_path):
 
 
 def test_vscan_threads_do_not_change_output(tmp_path):
-    text = VSCAN_CFG.replace("v_min = 0\nv_max = 0\nv_steps = 1",
-                             "v_min = -0.2\nv_max = 0.2\nv_steps = 3")
-    cfg = load_scenario(write_cfg(tmp_path, text))
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "pooled"
-    run_vscan(cfg, out1, threads=1)
-    run_vscan(cfg, out2, threads=2)
-    assert (out1 / "overlap.tsv").read_bytes() == (out2 / "overlap.tsv").read_bytes()
+    three = VSCAN_CFG.replace("v_min = 0\nv_max = 0\nv_steps = 1",
+                              "v_min = -0.2\nv_max = 0.2\nv_steps = 3")
+    # five lanes split 3 + 2 over the workers; both end lanes trip the norm
+    # guard at dt and rerun at dt/2, each in a different chunk
+    five = VSCAN_CFG.replace("t_max = 150\neta = 0.01", "t_max = 30\neta = 0.4") \
+                    .replace("v_min = 0\nv_max = 0\nv_steps = 1",
+                             "v_min = -0.425\nv_max = 0.425\nv_steps = 5")
+    for name, text in (("three", three), ("five", five)):
+        cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
+        out1 = tmp_path / name / "serial"
+        out2 = tmp_path / name / "pooled"
+        assert run_vscan(cfg, out1, threads=1)[1] == 0
+        assert run_vscan(cfg, out2, threads=2)[1] == 0
+        assert (out1 / "overlap.tsv").read_bytes() == (out2 / "overlap.tsv").read_bytes()
+
+
+def test_scan_step_ladder_matches_per_lane_ladder():
+    # Each lane ends at the first dt of the ladder dt, dt/2, ... that its norm
+    # guard accepts, exactly as when every lane is retried on its own.
+    bath = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
+    cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "fig1a_scan.cfg")
+    cfg = dataclasses.replace(cfg, propagation=PropagationConfig(dt=0.01, t_max=20.0), eta=0.5)
+    couplings = (-0.425, -0.2, 0.0, 0.425)
+    aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in couplings]
+    spectra = _zofe_scan_spectra(aggs, cfg)
+    used = []
+    for agg, spectrum in zip(aggs, spectra):
+        dt = 0.01
+        while True:
+            try:
+                trace = propagate_zofe(agg, bath, PropagationConfig(dt=dt, t_max=20.0))
+                break
+            except PropagationError:
+                dt /= 2
+        used.append(dt)
+        assert np.array_equal(spectrum.values, absorption_from_trace(trace, 0.5, cfg.nu).values)
+    assert used == [0.005, 0.01, 0.01, 0.005]
 
 
 def test_vscan_requires_both_methods(tmp_path):
@@ -275,10 +310,23 @@ def test_main_exit_codes(tmp_path):
     )
     assert main(["spectrum", "--config", str(ring), "--out", str(tmp_path / "r")]) == 2
     good = write_cfg(tmp_path, MONOMER_CFG, "good.cfg")
+    # a config error found by the run itself: vscan without a [scan] block
+    assert main(["vscan", "--config", str(good), "--out", str(tmp_path / "v")]) == 1
     assert main(["spectrum", "--config", str(good), "--out", str(tmp_path / "g"),
                  "--method", "zofe"]) == 0
     assert (tmp_path / "g" / "spectrum_zofe.tsv").exists()
     assert not (tmp_path / "g" / "spectrum_pm.tsv").exists()
+
+
+def test_unstable_pseudomode_step_exits_2_without_nan_rows(tmp_path):
+    # dimer at caps 12 with dt = 0.6: the pseudomode RK4 overflows
+    text = VSCAN_CFG.replace("dt = 0.01", "dt = 0.6").replace(
+        "dipoles = equal-parallel", "coupling_v = 0.44\ndipoles = equal-parallel")
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--out", str(out), "--method", "pm"]) == 2
+    for tsv in out.glob("*.tsv"):
+        assert "nan" not in tsv.read_text()
 
 
 def test_multi_coupling_values_write_suffixed_files(tmp_path):

@@ -6,9 +6,11 @@ from numpy.testing import assert_allclose
 
 from aggspec.model import AggregateSpec, LorentzianBath
 from aggspec.propagation import PropagationConfig
+from aggspec.pseudomode import pm_correlation
 from aggspec.spectra import (
     CorrelationTrace,
     Spectrum,
+    TraceTailError,
     absorption_from_trace,
     cumulant_oracle,
     markov_oracle,
@@ -35,6 +37,9 @@ def test_trace_validation():
         CorrelationTrace(dt=0.1, samples=np.array([2.0 + 0j, 1.0]), mu_tot_sq=1.0)
     with pytest.raises(ValueError):
         CorrelationTrace(dt=-0.1, samples=np.array([1.0 + 0j, 1.0]), mu_tot_sq=1.0)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationTrace(dt=0.1, samples=np.array([1.0, 0.5, bad]), mu_tot_sq=1.0)
 
 
 def test_spectrum_validation():
@@ -68,8 +73,40 @@ def test_decaying_trace_gives_lorentzian_of_width_gamma():
 
 def test_ringing_guard():
     trace = damped_line_trace(1.0, 0.0, 0.01, 20.0)
-    with pytest.raises(ValueError, match="increase t_max or eta"):
+    with pytest.raises(TraceTailError, match="increase t_max or eta"):
         absorption_from_trace(trace, 0.0, np.linspace(-2, 2, 101))
+
+
+def direct_transform(trace, eta, nu):
+    """The trapezoid sum with a dense exp(1j nu t) table."""
+    t = trace.times
+    weights = np.full(t.size, trace.dt)
+    weights[[0, -1]] *= 0.5
+    return (np.exp(1j * np.outer(nu, t)) @ (trace.samples * np.exp(-eta * t) * weights)).real
+
+
+@pytest.mark.parametrize("case", ["long trace", "n_t < n_nu", "two nu points", "doubled pm"])
+def test_chirp_z_transform_matches_direct_sum(case):
+    if case == "doubled pm":
+        # spacing 2*dt from the doubling trick, nu_0 far from zero
+        trace = pm_correlation(
+            AggregateSpec.equal_parallel(1, epsilon=0.3),
+            LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25),
+            PropagationConfig(dt=0.01, t_max=60.0), caps=8,
+        )
+        nu = -3.7 + 0.004 * np.arange(1700)
+    else:
+        dt, t_max, nu = {
+            "long trace": (0.01, 150.0, -6.0 + 0.01 * np.arange(1601)),
+            "n_t < n_nu": (0.1, 30.0, 2.5 + 0.002 * np.arange(2000)),
+            "two nu points": (0.01, 40.0, np.array([-1.25, 0.75])),
+        }[case]
+        t = np.arange(round(t_max / dt) + 1) * dt
+        samples = 2.0 * np.exp(-1j * 0.4 * t - 0.2 * t - 0.01 * t**2) * (1 + 0.3 * np.cos(1.1 * t))
+        trace = CorrelationTrace(dt=dt, samples=samples / samples[0] * 2.0, mu_tot_sq=2.0)
+    values = absorption_from_trace(trace, 0.02, nu).values
+    ref = direct_transform(trace, 0.02, nu)
+    assert np.max(np.abs(values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_negative_eta_rejected():

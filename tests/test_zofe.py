@@ -2,19 +2,59 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from aggspec.model import AggregateSpec, LorentzianBath, build_system_hamiltonian
+from aggspec.model import (
+    AggregateSpec,
+    LorentzianBath,
+    build_system_hamiltonian,
+    initial_bright_state,
+)
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.spectra import cumulant_oracle
 from aggspec.zofe import (
     BathTerms,
     ZofeState,
+    _LaneRhs,
     _propagate,
     coupling_operators,
     propagate_zofe,
+    propagate_zofe_lanes,
     zofe_rhs,
 )
 
 MONOMER_BATH = LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25)
+DIMER_BATH = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
+SIX_X = [0.4, 0.07, 0.18, 0.24, 0.12, 0.24]
+SIX_OMEGA = [0.23, 0.42, 0.57, 1.29, 1.41, 1.61]
+SIX_TERM_BATH = LorentzianBath.from_huang_rhys(2, SIX_X, SIX_OMEGA, [0.25 * o for o in SIX_OMEGA])
+
+
+def reference_trace(agg, bath, config):
+    """Single-lane RK4 on the general zofe_rhs, sampled with vdot; the
+    algorithm of the kernel before lanes were batched."""
+    h = build_system_hamiltonian(agg)
+    terms = BathTerms.from_bath(bath)
+    l_ops = coupling_operators(agg.n_monomers)
+    psi0, mu_tot = initial_bright_state(agg)
+    mu_sq = mu_tot**2
+
+    def rhs(psi, aux):
+        return zofe_rhs(ZofeState(psi, aux), h, terms, l_ops)
+
+    dt, half, sixth = config.dt, config.dt / 2, config.dt / 6
+    psi = psi0.copy()
+    aux = np.zeros((terms.count, agg.n_monomers, agg.n_monomers), dtype=complex)
+    samples = [mu_sq * np.vdot(psi0, psi)]
+    for k in range(config.n_steps):
+        d1p, d1a = rhs(psi, aux)
+        d2p, d2a = rhs(psi + half * d1p, aux + half * d1a)
+        d3p, d3a = rhs(psi + half * d2p, aux + half * d2a)
+        d4p, d4a = rhs(psi + dt * d3p, aux + dt * d3a)
+        psi = psi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
+        aux = aux + sixth * (d1a + 2.0 * (d2a + d3a) + d4a)
+        if not np.vdot(psi, psi).real <= (1 + 1e-6) ** 2:
+            return k + 1  # step at which the norm guard trips
+        samples.append(mu_sq * np.vdot(psi0, psi))
+    return np.asarray(samples)
 
 
 def test_coupling_operators_are_negative_projectors():
@@ -173,3 +213,63 @@ def test_empty_bath_is_free_electronic_evolution():
     t = trace.times
     expected = trace.mu_tot_sq * (weights @ np.exp(-1j * np.outer(evals, t)))
     assert_allclose(trace.samples, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("n, bath", [
+    (1, MONOMER_BATH),
+    (2, DIMER_BATH),
+    (7, LorentzianBath.from_huang_rhys(7, 0.64, 1.0, 0.25)),
+    (2, SIX_TERM_BATH),
+])
+def test_lane_rhs_matches_general_rhs(n, bath):
+    # the batched right-hand side (row gather for L[n] = -|n><n|) against the
+    # general operator form, lane by lane, with a different H per lane
+    rng = np.random.default_rng(n)
+    terms = BathTerms.from_bath(bath)
+    hams = [build_system_hamiltonian(AggregateSpec.equal_parallel(
+        n, epsilon=rng.normal(size=n), coupling_v=v)) for v in (-0.7, 0.2, 1.1)]
+    psi = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    aux = rng.normal(size=(3, terms.count, n, n)) + 1j * rng.normal(size=(3, terms.count, n, n))
+    dpsi, daux = _LaneRhs(np.stack([-1j * h for h in hams]), terms)(psi[:, :, None], aux)
+    for b, h in enumerate(hams):
+        ref_p, ref_a = zofe_rhs(ZofeState(psi[b], aux[b]), h, terms, coupling_operators(n))
+        assert_allclose(dpsi[b, :, 0], ref_p, rtol=0, atol=1e-14)
+        assert_allclose(daux[b], ref_a, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, couplings, tripping", [
+    (2, (-0.425, 0.1, 0.44), -0.425),
+    (7, (-1.0, 0.42, 0.44, 1.0), 0.42),
+])
+def test_lane_trace_is_bit_identical_alone_and_in_batch(n, couplings, tripping):
+    bath = LorentzianBath.from_huang_rhys(n, 0.64, 1.0, 0.25)
+    cfg = PropagationConfig(dt=0.01, t_max=6.0)
+    aggs = [AggregateSpec.equal_parallel(n, coupling_v=v) for v in couplings]
+    batch = propagate_zofe_lanes(aggs, bath, cfg)
+    pair = propagate_zofe_lanes(aggs[:2], bath, cfg)
+    for v, agg, result in zip(couplings, aggs, batch):
+        if v == tripping:
+            # the tripping lane leaves the batch with the error it raises alone
+            assert isinstance(result, PropagationError)
+            with pytest.raises(PropagationError, match="dt too large") as alone:
+                propagate_zofe(agg, bath, cfg)
+            assert str(result) == str(alone.value)
+        else:
+            assert np.array_equal(result.samples, propagate_zofe(agg, bath, cfg).samples)
+    for small, big in zip(pair, batch):
+        if not isinstance(big, PropagationError):
+            assert np.array_equal(small.samples, big.samples)
+
+
+@pytest.mark.parametrize("n, couplings", [(2, (-0.425, -0.2, 0.44)), (7, (0.42, 1.0))])
+def test_batched_kernel_matches_reference_rk4(n, couplings):
+    bath = LorentzianBath.from_huang_rhys(n, 0.64, 1.0, 0.25)
+    cfg = PropagationConfig(dt=0.01, t_max=6.0)
+    aggs = [AggregateSpec.equal_parallel(n, coupling_v=v) for v in couplings]
+    for agg, result in zip(aggs, propagate_zofe_lanes(aggs, bath, cfg)):
+        ref = reference_trace(agg, bath, cfg)
+        if isinstance(result, PropagationError):
+            # same trip step: the message reports t = step * dt
+            assert f"at t = {ref * cfg.dt:.4g};" in str(result)
+        else:
+            assert np.max(np.abs(result.samples - ref)) <= 1e-13
