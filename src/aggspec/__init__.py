@@ -15,8 +15,8 @@ spectra with an area-overlap percentage; ``cli`` drives scenario files.
 
 from .model import (
     AggregateSpec,
+    BathTerms,
     LorentzianBath,
-    UnitSystem,
     bath_correlation,
     build_system_hamiltonian,
     gamma_to_huang_rhys,
@@ -28,7 +28,6 @@ from .propagation import PropagationConfig, PropagationError, default_time_step
 from .pseudomode import (
     BasisSizeError,
     CapConvergenceError,
-    PmBasisState,
     PmGenerator,
     assemble_generator,
     converge_caps,
@@ -49,7 +48,6 @@ from .spectra import (
     overlap,
 )
 from .zofe import (
-    BathTerms,
     ZofeState,
     coupling_operators,
     propagate_zofe,

@@ -8,7 +8,7 @@ cannot silently change a run.  Blocks:
   [bath]       huang_rhys or gamma_amp, omega, gamma   (parallel lists,
                replicated for every monomer; omit the block for no coupling)
   [run]        method, dt, t_max, eta, nu_min/nu_max/nu_step, pm_caps,
-               pm_tolerance, doubling, v_values, max_states
+               pm_tolerance, v_values, max_states
   [scan]       v_min, v_max, v_steps, keep_spectra
 
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
@@ -63,7 +63,6 @@ class ScenarioConfig:
     nu: np.ndarray
     pm_caps: tuple | None  # None means auto (converge_caps)
     pm_tolerance: float
-    doubling: bool
     max_states: int
     v_values: tuple | None
     scan: tuple | None  # (v_min, v_max, v_steps)
@@ -75,7 +74,7 @@ _KNOWN_KEYS = {
     "bath": {"huang_rhys", "gamma_amp", "omega", "gamma"},
     "run": {
         "method", "dt", "t_max", "eta", "nu_min", "nu_max", "nu_step",
-        "pm_caps", "pm_tolerance", "doubling", "v_values", "max_states",
+        "pm_caps", "pm_tolerance", "v_values", "max_states",
     },
     "scan": {"v_min", "v_max", "v_steps", "keep_spectra"},
 }
@@ -276,13 +275,12 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not pm_tolerance > 0:
         raise ConfigError("pm_tolerance must be positive")
-    doubling = _bool(run.get("doubling", "true"), "doubling")
     max_states = _int(run.get("max_states", "2000000"), "max_states")
 
     return ScenarioConfig(
         aggregate=agg, bath=bath, method=method, propagation=propagation,
         eta=eta, nu=nu, pm_caps=pm_caps, pm_tolerance=pm_tolerance,
-        doubling=doubling, max_states=max_states, v_values=v_values,
+        max_states=max_states, v_values=v_values,
         scan=scan, keep_spectra=keep_spectra,
     )
 
@@ -306,15 +304,14 @@ def _resolve_caps(cfg: ScenarioConfig, agg: AggregateSpec):
         return cfg.pm_caps
     b_tot, b_mode, _ = converge_caps(
         agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta,
-        nu=cfg.nu, doubling=cfg.doubling, max_states=cfg.max_states,
+        nu=cfg.nu, max_states=cfg.max_states,
     )
     return (b_tot, b_mode)
 
 
 def _pm_trace(agg, cfg: ScenarioConfig, caps):
     return pm_correlation(
-        agg, cfg.bath, cfg.propagation, caps=caps,
-        doubling=cfg.doubling, max_states=cfg.max_states,
+        agg, cfg.bath, cfg.propagation, caps=caps, max_states=cfg.max_states
     )
 
 
@@ -478,7 +475,7 @@ def run_converge(cfg: ScenarioConfig, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     b_tot, b_mode, trace = converge_caps(
         cfg.aggregate, cfg.bath, cfg.propagation, cfg.pm_tolerance,
-        eta=cfg.eta, nu=cfg.nu, doubling=cfg.doubling, max_states=cfg.max_states,
+        eta=cfg.eta, nu=cfg.nu, max_states=cfg.max_states,
     )
     spectrum = absorption_from_trace(trace, cfg.eta, cfg.nu)
     written = [

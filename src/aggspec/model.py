@@ -1,8 +1,7 @@
 """Domain model: linear aggregates of two-level monomers with Lorentzian baths.
 
 Units: all energies are measured in units of hbar*Omega_ref for a reference
-frequency Omega_ref, times in 1/Omega_ref, and hbar = 1 throughout (see
-:class:`UnitSystem`).
+frequency Omega_ref, times in 1/Omega_ref, and hbar = 1 throughout.
 
 A monomer is an electronic two-level system.  The aggregate is an open chain
 of ``N`` monomers restricted to the single-excitation manifold, with
@@ -26,9 +25,9 @@ import math
 import numpy as np
 
 __all__ = [
-    "UnitSystem",
     "AggregateSpec",
     "LorentzianBath",
+    "BathTerms",
     "build_system_hamiltonian",
     "initial_bright_state",
     "bath_correlation",
@@ -36,17 +35,6 @@ __all__ = [
     "huang_rhys_to_gamma",
     "gamma_to_huang_rhys",
 ]
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Reference frequency fixing the units (energies in hbar*omega_ref, hbar=1)."""
-
-    omega_ref: float = 1.0
-
-    def __post_init__(self):
-        if not self.omega_ref > 0:
-            raise ValueError("omega_ref must be positive")
 
 
 def _as_readonly(a):
@@ -182,6 +170,39 @@ class LorentzianBath:
     def alpha0(self, monomer):
         """alpha_n(0) = sum_j Gamma_nj (real, >= 0)."""
         return float(sum(t[0] for t in self.terms[monomer]))
+
+
+@dataclass(frozen=True)
+class BathTerms:
+    """Flattened (monomer, term) list: owner index, decay z = 1j*Omega + gamma,
+    and weight Gamma for each exponential of the bath correlation.
+
+    Both solvers read the bath in this form: a ZOFE auxiliary operator and a
+    pseudomode occupation slot belong to one flattened term each, with centre
+    ``z.imag``, width ``z.real`` and coupling ``sqrt(gamma_amp)``.
+    """
+
+    monomer: np.ndarray
+    z: np.ndarray
+    gamma_amp: np.ndarray
+
+    @classmethod
+    def from_bath(cls, bath: LorentzianBath):
+        owners, zs, amps = [], [], []
+        for n, monomer_terms in enumerate(bath.terms):
+            for gamma_amp, center, width in monomer_terms:
+                owners.append(n)
+                zs.append(1j * center + width)
+                amps.append(gamma_amp)
+        return cls(
+            monomer=np.asarray(owners, dtype=int),
+            z=np.asarray(zs, dtype=complex),
+            gamma_amp=np.asarray(amps, dtype=float),
+        )
+
+    @property
+    def count(self):
+        return self.monomer.size
 
 
 def build_system_hamiltonian(agg: AggregateSpec) -> np.ndarray:

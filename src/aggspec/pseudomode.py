@@ -16,6 +16,11 @@ is very sparse; matrix-vector products are the only operation needed.
 Truncation is hard: ladder transitions leaving the enumerated set are
 dropped, and cap convergence is certified on a doubling ladder.
 
+The basis is one integer array of rows (n, beta), slots ordered as in
+``BathTerms``, enumerated in lexicographic order.  Assembly takes the rows
+in any order: it finds ladder and hopping targets by their lexicographic
+rank (from the count table, so below the number of states within the caps).
+
 Because the initial bright state is real for real dipoles and G is complex
 symmetric, exp(G t) is symmetric too, so the correlation value at 2t follows
 from the state at t alone:  M(2t) = mu_tot^2 * psi(t)^T psi(t)  (plain
@@ -26,6 +31,7 @@ and holds exactly, step-for-step, for the RK4 scheme as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +39,7 @@ import scipy.sparse
 
 from .model import (
     AggregateSpec,
+    BathTerms,
     LorentzianBath,
     gamma_to_huang_rhys,
     initial_bright_state,
@@ -41,7 +48,6 @@ from .propagation import PropagationConfig, PropagationError
 from .spectra import CorrelationTrace, absorption_from_trace, overlap
 
 __all__ = [
-    "PmBasisState",
     "PmGenerator",
     "BasisSizeError",
     "CapConvergenceError",
@@ -79,65 +85,52 @@ class CapConvergenceError(PropagationError):
 
 
 @dataclass(frozen=True)
-class PmBasisState:
-    """Excited-monomer index paired with mode occupations over all slots."""
-
-    monomer: int
-    occupations: tuple
-
-
-@dataclass(frozen=True)
 class PmGenerator:
-    """Sparse generator G over an enumerated basis (CSR; matvec only)."""
+    """Sparse generator G (CSR; matvec only) over its (dim, 1 + n_slots) basis."""
 
     matrix: scipy.sparse.csr_matrix
-    basis: tuple
+    basis: np.ndarray
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
 
-def _mode_slots(bath: LorentzianBath):
-    """Flattened (monomer, term index) slots plus per-slot parameter arrays."""
-    owners, centers, widths, couplings = [], [], [], []
-    for n, monomer_terms in enumerate(bath.terms):
-        for gamma_amp, center, width in monomer_terms:
-            owners.append(n)
-            centers.append(center)
-            widths.append(width)
-            couplings.append(math.sqrt(gamma_amp))
-    return (
-        np.asarray(owners, dtype=int),
-        np.asarray(centers, dtype=float),
-        np.asarray(widths, dtype=float),
-        np.asarray(couplings, dtype=float),
-    )
+def _count_table(n_slots, b_tot, b_mode):
+    """Row k: exact running sums [0, c(0), c(0) + c(1), ...] of c(r), the
+    number of vectors over k slots with sum <= r and entries <= b_mode."""
+    # zero slots: only the empty vector, whose sum 0 is <= every r
+    sums = list(itertools.accumulate([1] * (b_tot + 1), initial=0))
+    table = [sums]
+    for _ in range(n_slots):
+        # the first of the slots holds v <= min(b_mode, r); the rest sum to <= r - v
+        counts = [sums[r + 1] - sums[max(0, r - b_mode)] for r in range(b_tot + 1)]
+        sums = list(itertools.accumulate(counts, initial=0))
+        table.append(sums)
+    return table
 
 
 def count_occupation_vectors(n_slots: int, b_tot: int, b_mode: int) -> int:
     """Number of occupation vectors with entry cap b_mode and sum cap b_tot."""
     if b_tot < 0 or b_mode < 0:
         raise ValueError("caps must be >= 0")
-    counts = [1] + [0] * b_tot
-    for _ in range(n_slots):
-        new = [0] * (b_tot + 1)
-        for total in range(b_tot + 1):
-            acc = 0
-            for k in range(min(b_mode, total) + 1):
-                acc += counts[total - k]
-            new[total] = acc
-        counts = new
-    return sum(counts)
+    last = _count_table(n_slots, b_tot, b_mode)[-1]
+    return last[-1] - last[-2]
 
 
-def _occupation_vectors(n_slots, b_tot, b_mode):
-    if n_slots == 0:
-        yield ()
-        return
-    for first in range(min(b_tot, b_mode) + 1):
-        for rest in _occupation_vectors(n_slots - 1, b_tot - first, b_mode):
-            yield (first,) + rest
+def _ranks(occupations, table, b_tot):
+    """Lexicographic rank of each occupation row among all vectors within the
+    caps of ``table`` (an int64 array of ``_count_table``)."""
+    n_slots = occupations.shape[1]
+    ranks = np.zeros(len(occupations), dtype=np.int64)
+    left = np.full(len(occupations), b_tot + 1)  # sum budget still open, + 1
+    for s in range(n_slots):
+        # vectors that agree before slot s and hold less in it come first
+        sums = table[n_slots - 1 - s]
+        b = occupations[:, s]
+        ranks += sums[left] - sums[left - b]
+        left -= b
+    return ranks
 
 
 def enumerate_basis(
@@ -146,91 +139,102 @@ def enumerate_basis(
     b_tot: int,
     b_mode: int,
     max_states: int = DEFAULT_MAX_STATES,
-):
+) -> np.ndarray:
     """Ordered basis: every (n, beta) within the caps, exactly once.
 
-    The ordering is lexicographic in (n, beta) and deterministic.  ``beta``
-    runs over all modes of all monomers (sum(modes_per_monomer) slots);
-    sum(beta) <= b_tot and each entry <= b_mode.  Raises BasisSizeError with
-    the projected dimension if it would exceed ``max_states``.
+    Returns a read-only int32 array of shape (dim, 1 + n_slots), one row
+    (n, beta) per state, in lexicographic order.  ``beta`` runs over all
+    modes of all monomers (n_slots = sum(modes_per_monomer)); sum(beta) <=
+    b_tot and each entry <= b_mode.  Raises BasisSizeError with the
+    projected dimension if it would exceed ``max_states``.
     """
     n_slots = int(sum(modes_per_monomer))
-    dim = n_monomers * count_occupation_vectors(n_slots, b_tot, b_mode)
+    n_vectors = count_occupation_vectors(n_slots, b_tot, b_mode)
+    dim = n_monomers * n_vectors
     if dim > max_states:
         raise BasisSizeError(dim, max_states)
-    vectors = list(_occupation_vectors(n_slots, b_tot, b_mode))
-    return [
-        PmBasisState(monomer=n, occupations=beta)
-        for n in range(n_monomers)
-        for beta in vectors
-    ]
+    # Grow the rows slot by slot: each fans out into one row per value of the
+    # next slot, in increasing order, so the rows stay lexicographic.
+    occupations = np.zeros((1, 0), dtype=np.int32)
+    for _ in range(n_slots):
+        fan = np.minimum(b_tot - occupations.sum(axis=1), b_mode) + 1
+        parent = np.repeat(np.arange(len(occupations)), fan)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        occupations = np.column_stack((occupations[parent], value.astype(np.int32)))
+    monomers = np.repeat(np.arange(n_monomers, dtype=np.int32), n_vectors)
+    basis = np.column_stack((monomers, np.tile(occupations, (n_monomers, 1))))
+    basis.flags.writeable = False
+    return basis
 
 
 def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGenerator:
-    """Sparse generator over ``basis`` (any deterministic ordering).
+    """Sparse generator over ``basis`` (rows (n, beta) in any order).
 
     Ladder transitions whose target state is not in the basis are dropped
     (hard truncation).
     """
     if bath.n_monomers != agg.n_monomers:
         raise ValueError("bath must provide a term list per monomer")
-    slot_owner, slot_center, slot_width, slot_coupling = _mode_slots(bath)
-    n_slots = slot_owner.size
-    index = {}
-    for row, state in enumerate(basis):
-        if len(state.occupations) != n_slots:
-            raise ValueError("basis occupation length does not match the bath")
-        index[(state.monomer, state.occupations)] = row
-
-    eps = agg.epsilon
-    v = agg.coupling_v
-    slots_of_monomer = [
-        [s for s in range(n_slots) if slot_owner[s] == n]
-        for n in range(agg.n_monomers)
-    ]
-    rows, cols, vals = [], [], []
-    for row, state in enumerate(basis):
-        n, beta = state.monomer, state.occupations
-        diag = eps[n]
-        damp = 0.0
-        for s in range(n_slots):
-            diag += slot_center[s] * beta[s]
-            damp += slot_width[s] * beta[s]
-        rows.append(row)
-        cols.append(row)
-        vals.append(-1j * diag - damp)
-        for s in slots_of_monomer[n]:
-            b_s = beta[s]
-            if b_s > 0:
-                target = index.get((n, beta[:s] + (b_s - 1,) + beta[s + 1:]))
-                if target is not None:
-                    rows.append(row)
-                    cols.append(target)
-                    vals.append(1j * slot_coupling[s] * math.sqrt(b_s))
-            target = index.get((n, beta[:s] + (b_s + 1,) + beta[s + 1:]))
-            if target is not None:
-                rows.append(row)
-                cols.append(target)
-                vals.append(1j * slot_coupling[s] * math.sqrt(b_s + 1))
-        for m in (n - 1, n + 1):
-            if 0 <= m < agg.n_monomers and v != 0.0:
-                rows.append(row)
-                cols.append(index[(m, beta)])
-                vals.append(-1j * v)
+    terms = BathTerms.from_bath(bath)
+    basis = np.asarray(basis)
+    if basis.ndim != 2 or basis.shape[1] != 1 + terms.count:
+        raise ValueError("basis occupation length does not match the bath")
     dim = len(basis)
+    monomer, occupations = basis[:, 0], basis[:, 1:]
+
+    # key = n * n_vectors + rank(beta) within the caps the rows reach
+    b_tot = int(occupations.sum(axis=1).max(initial=0))
+    b_mode = int(occupations.max(initial=0))
+    table = np.array(_count_table(terms.count, b_tot, b_mode), dtype=np.int64)
+    n_vectors = table[-1, -1] - table[-1, -2]
+    keys = monomer * n_vectors + _ranks(occupations, table, b_tot)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def find(target_keys):
+        pos = np.minimum(np.searchsorted(sorted_keys, target_keys), dim - 1)
+        return order[pos], sorted_keys[pos] == target_keys
+
+    energy = agg.epsilon[monomer]
+    damping = np.zeros(dim)
+    # each link (i, j, value) enters G at (i, j) and at (j, i)
+    link_i, link_j, link_value = [], [], []
+    for s, (owner, z, coupling) in enumerate(
+        zip(terms.monomer, terms.z, np.sqrt(terms.gamma_amp))
+    ):
+        b = occupations[:, s]
+        energy += z.imag * b
+        damping += z.real * b
+        # ladder: a row with beta_s > 0 on its own monomer's mode and the row
+        # one quantum lower, linked by 1j*sqrt(Gamma)*sqrt(beta_s)
+        upper = np.flatnonzero((monomer == owner) & (b > 0))
+        lowered = occupations[upper]
+        lowered[:, s] -= 1
+        lower, found = find(monomer[upper] * n_vectors + _ranks(lowered, table, b_tot))
+        link_i.append(upper[found])
+        link_j.append(lower[found])
+        link_value.append(1j * coupling * np.sqrt(b[upper[found]]))
+    if agg.coupling_v != 0.0:
+        # (n, beta) to (n + 1, beta); no row has monomer N, so the end drops out
+        right, found = find(keys + n_vectors)
+        link_i.append(np.flatnonzero(found))
+        link_j.append(right[found])
+        link_value.append(np.full(found.sum(), -1j * agg.coupling_v))
+    diagonal = [np.arange(dim)]
     matrix = scipy.sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
+        (np.concatenate([-1j * energy - damping, *link_value, *link_value]),
+         (np.concatenate(diagonal + link_i + link_j), np.concatenate(diagonal + link_j + link_i))),
+        shape=(dim, dim),
     ).tocsr()
-    return PmGenerator(matrix=matrix, basis=tuple(basis))
+    return PmGenerator(matrix=matrix, basis=basis)
 
 
 def embed_initial_state(basis, psi0) -> np.ndarray:
     """Bright electronic state tensored with all-modes-in-vacuum."""
-    psi0 = np.asarray(psi0)
+    basis = np.asarray(basis)
     out = np.zeros(len(basis), dtype=complex)
-    for row, state in enumerate(basis):
-        if all(b == 0 for b in state.occupations):
-            out[row] = psi0[state.monomer]
+    vacuum = ~basis[:, 1:].any(axis=1)
+    out[vacuum] = np.asarray(psi0)[basis[vacuum, 0]]
     return out
 
 
@@ -343,13 +347,6 @@ def pm_correlation(
     )
 
 
-def _cap_ladder():
-    cap = 1
-    while True:
-        yield cap
-        cap *= 2
-
-
 def converge_caps(
     agg: AggregateSpec,
     bath: LorentzianBath,
@@ -373,9 +370,7 @@ def converge_caps(
     if nu is None:
         nu = default_nu_grid(agg, bath)
     target = 100.0 * (1.0 - tolerance)
-    modes = [len(t) for t in bath.terms]
-    n_slots = sum(modes)
-    if n_slots == 0:
+    if not any(bath.terms):
         # no electron-vibration coupling: every cap spans the same basis, so
         # the ladder is trivially converged at zero occupation
         trace = pm_correlation(
@@ -384,18 +379,18 @@ def converge_caps(
         return 0, 0, trace
     overlaps = []
     prev = None  # (cap, trace, spectrum)
-    for cap in _cap_ladder():
-        dim = agg.n_monomers * count_occupation_vectors(n_slots, cap, cap)
-        if dim > max_states:
+    for cap in (2**k for k in itertools.count()):
+        try:
+            trace = pm_correlation(
+                agg, bath, config, caps=cap, doubling=doubling, max_states=max_states
+            )
+        except BasisSizeError as exc:
             raise CapConvergenceError(
-                f"cap ladder needs {dim} states at cap {cap}, over the budget "
+                f"cap ladder needs {exc.dim} states at cap {cap}, over the budget "
                 f"of {max_states}; last overlaps: "
                 + (", ".join(f"{o:.4f}%" for o in overlaps[-2:]) or "none"),
                 overlaps,
-            )
-        trace = pm_correlation(
-            agg, bath, config, caps=cap, doubling=doubling, max_states=max_states
-        )
+            ) from exc
         spectrum = absorption_from_trace(trace, eta, nu)
         if prev is not None:
             value = overlap(prev[2], spectrum)

@@ -51,6 +51,7 @@ import numpy as np
 
 from .model import (
     AggregateSpec,
+    BathTerms,
     LorentzianBath,
     build_system_hamiltonian,
     initial_bright_state,
@@ -60,7 +61,6 @@ from .spectra import CorrelationTrace
 
 __all__ = [
     "ZofeState",
-    "BathTerms",
     "coupling_operators",
     "zofe_rhs",
     "propagate_zofe",
@@ -82,34 +82,6 @@ class ZofeState:
     psi: np.ndarray
     aux: np.ndarray
     t: float = 0.0
-
-
-@dataclass(frozen=True)
-class BathTerms:
-    """Flattened (monomer, term) list: owner index, decay z = 1j*Omega + gamma,
-    and weight Gamma for each exponential of the bath correlation."""
-
-    monomer: np.ndarray
-    z: np.ndarray
-    gamma_amp: np.ndarray
-
-    @classmethod
-    def from_bath(cls, bath: LorentzianBath):
-        owners, zs, amps = [], [], []
-        for n, monomer_terms in enumerate(bath.terms):
-            for gamma_amp, center, width in monomer_terms:
-                owners.append(n)
-                zs.append(1j * center + width)
-                amps.append(gamma_amp)
-        return cls(
-            monomer=np.asarray(owners, dtype=int),
-            z=np.asarray(zs, dtype=complex),
-            gamma_amp=np.asarray(amps, dtype=float),
-        )
-
-    @property
-    def count(self):
-        return self.monomer.size
 
 
 def coupling_operators(n_monomers: int) -> np.ndarray:
@@ -269,32 +241,11 @@ def _propagate(agg: AggregateSpec, bath: LorentzianBath, config: PropagationConf
 
 
 def propagate_zofe(
-    agg: AggregateSpec,
-    bath: LorentzianBath,
-    config: PropagationConfig,
-    self_check_tol=None,
+    agg: AggregateSpec, bath: LorentzianBath, config: PropagationConfig
 ) -> CorrelationTrace:
     """Correlation trace M(t_k) = mu_tot^2 <psi0|psi(t_k)> on t_k = k*dt.
 
-    Parameters
-    ----------
-    agg, bath : model inputs (bath terms per monomer).
-    config : PropagationConfig
-        Fixed RK4 step and final time.
-    self_check_tol : float, optional
-        When given, the trace is recomputed with dt/2 and the two runs must
-        agree to this absolute tolerance (relative to mu_tot^2) on shared
-        grid points; disagreement raises PropagationError.
+    The batch of one; raises PropagationError if the norm guard trips.
     """
     trace, _ = _propagate(agg, bath, config)
-    if self_check_tol is not None:
-        fine, _ = _propagate(
-            agg, bath, PropagationConfig(dt=config.dt / 2, t_max=config.t_max)
-        )
-        diff = np.max(np.abs(trace.samples - fine.samples[::2])) / trace.mu_tot_sq
-        if diff > self_check_tol:
-            raise PropagationError(
-                f"step-halving self check failed: traces differ by {diff:.3e} "
-                f"(tolerance {self_check_tol:.3e}); reduce dt"
-            )
     return trace

@@ -104,9 +104,13 @@ def read_tsv(path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    path = write_cfg(tmp_path, MONOMER_CFG.replace("eta =", "etaa ="))
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_scenario(path)
+    # a typo, and the retired doubling knob (propagation always doubles
+    # when the bright state is real)
+    for text in (MONOMER_CFG.replace("eta =", "etaa ="),
+                 MONOMER_CFG.replace("[run]", "[run]\ndoubling = false")):
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_scenario(path)
 
 
 def test_unknown_block_rejected(tmp_path):

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from aggspec.model import (
     AggregateSpec,
     LorentzianBath,
-    UnitSystem,
     bath_correlation,
     build_system_hamiltonian,
     gamma_to_huang_rhys,
@@ -20,12 +19,6 @@ from aggspec.model import (
 SIX_X = [0.4, 0.07, 0.18, 0.24, 0.12, 0.24]
 SIX_OMEGA = [0.23, 0.42, 0.57, 1.29, 1.41, 1.61]
 SIX_GAMMA = [0.25 * om for om in SIX_OMEGA]
-
-
-def test_unit_system_requires_positive_reference():
-    assert UnitSystem(2.0).omega_ref == 2.0
-    with pytest.raises(ValueError):
-        UnitSystem(0.0)
 
 
 def test_hamiltonian_single_monomer():

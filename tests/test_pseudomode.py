@@ -1,5 +1,7 @@
 import itertools
+import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,6 @@ from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.pseudomode import (
     BasisSizeError,
     CapConvergenceError,
-    PmBasisState,
     _rk4_step,
     assemble_generator,
     converge_caps,
@@ -34,6 +35,20 @@ def brute_force_occupations(n_slots, b_tot, b_mode):
     }
 
 
+SIX_X = [0.4, 0.07, 0.18, 0.24, 0.12, 0.24]
+SIX_OMEGA = [0.23, 0.42, 0.57, 1.29, 1.41, 1.61]
+
+
+def six_term_bath(n_monomers):
+    return LorentzianBath.from_huang_rhys(
+        n_monomers, SIX_X, SIX_OMEGA, [0.25 * om for om in SIX_OMEGA]
+    )
+
+
+def rows(basis):
+    return [tuple(row) for row in basis.tolist()]
+
+
 @pytest.mark.parametrize(
     "n_monomers, modes, b_tot, b_mode, expected",
     [
@@ -44,23 +59,24 @@ def brute_force_occupations(n_slots, b_tot, b_mode):
 )
 def test_enumeration_counts(n_monomers, modes, b_tot, b_mode, expected):
     basis = enumerate_basis(n_monomers, modes, b_tot, b_mode)
-    assert len(basis) == expected
+    assert basis.shape == (expected, 1 + sum(modes))
     brute = brute_force_occupations(sum(modes), b_tot, b_mode)
-    assert {s.occupations for s in basis} == brute
-    assert len(set(basis)) == len(basis)
+    assert set(rows(basis[:, 1:])) == brute
+    assert len(set(rows(basis))) == len(basis)
     assert count_occupation_vectors(sum(modes), b_tot, b_mode) == len(brute)
 
 
 def test_enumeration_order_is_lexicographic():
-    basis = enumerate_basis(2, [1, 1], 1, 1)
-    as_tuples = [(s.monomer, s.occupations) for s in basis]
-    assert as_tuples == sorted(as_tuples)
+    for n_monomers, modes, b_tot, b_mode in ((2, [1, 1], 1, 1), (3, [2, 0, 1], 4, 2)):
+        basis = enumerate_basis(n_monomers, modes, b_tot, b_mode)
+        brute = brute_force_occupations(sum(modes), b_tot, b_mode)
+        assert rows(basis) == sorted((n,) + beta for n in range(n_monomers) for beta in brute)
 
 
 def test_enumeration_respects_per_mode_cap():
     brute = brute_force_occupations(2, 4, 2)
     basis = enumerate_basis(1, [2], 4, 2)
-    assert {s.occupations for s in basis} == brute
+    assert set(rows(basis[:, 1:])) == brute
 
 
 def test_budget_error_reports_dimension():
@@ -94,9 +110,7 @@ def test_hamiltonian_part_symmetric_and_damping_diagonal():
     assert np.array_equal(hamiltonian, hamiltonian.T)
     off_diag = a.real - np.diag(np.diag(a.real))
     assert np.all(off_diag == 0.0)
-    for row, state in enumerate(basis):
-        expected = -0.25 * sum(state.occupations)
-        assert a[row, row].real == pytest.approx(expected, abs=1e-15)
+    assert_allclose(np.diag(a).real, -0.25 * basis[:, 1:].sum(axis=1), atol=1e-15)
 
 
 def test_sparsity_bound_per_row():
@@ -177,19 +191,84 @@ def test_monomer_matches_cumulant_oracle():
     assert np.max(np.abs(trace.samples - oracle.samples[:n])) <= 1e-4
 
 
-def test_basis_ordering_invariance():
-    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    cfg = PropagationConfig(dt=0.01, t_max=20.0)
-    basis = enumerate_basis(2, [1, 1], 6, 6)
-    rng = np.random.default_rng(31)
-    shuffled = [basis[i] for i in rng.permutation(len(basis))]
-    psi0, mu_tot = initial_bright_state(agg)
-    traces = []
-    for ordering in (basis, shuffled):
-        gen = assemble_generator(agg, DIMER_BATH, ordering)
-        psi = embed_initial_state(ordering, psi0)
-        traces.append(propagate_pm(gen, psi, cfg, mu_tot_sq=mu_tot**2))
-    assert np.max(np.abs(traces[0].samples - traces[1].samples)) <= 1e-10
+def dense_reference(agg, bath, basis):
+    """Dense G entry by entry over a dict index, following the module docstring."""
+    slots = [(n, term) for n, terms in enumerate(bath.terms) for term in terms]
+    states = [(row[0], tuple(row[1:])) for row in basis.tolist()]
+    index = {state: i for i, state in enumerate(states)}
+    g = np.zeros((len(states), len(states)), dtype=complex)
+    for i, (n, beta) in enumerate(states):
+        energy, damping = agg.epsilon[n], 0.0
+        for (_, (_, center, width)), b in zip(slots, beta):
+            energy += center * b
+            damping += width * b
+        g[i, i] = -1j * energy - damping
+        for s, (owner, (gamma_amp, _, _)) in enumerate(slots):
+            if owner != n:
+                continue
+            for b in (beta[s] - 1, beta[s] + 1):
+                j = index.get((n, beta[:s] + (b,) + beta[s + 1:]))
+                if j is not None:
+                    g[i, j] = 1j * math.sqrt(gamma_amp) * math.sqrt(max(b, beta[s]))
+        for m in (n - 1, n + 1):
+            j = index.get((m, beta))
+            if j is not None:
+                g[i, j] = -1j * agg.coupling_v
+    return g
+
+
+# centres and widths not dyadic, so the sums pin the order of the diagonal terms
+TWO_MODE_BATH = LorentzianBath.from_huang_rhys(3, [0.4, 0.2], [0.93, 1.37], [0.23, 0.31])
+
+
+@pytest.mark.parametrize(
+    "agg, bath, caps",
+    [
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.44), TWO_MODE_BATH, (3, 2)),
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.0), TWO_MODE_BATH, (3, 2)),
+        (AggregateSpec.equal_parallel(1, 0.3), LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25), (300, 300)),
+        # 42 slots: a mixed-radix key over all slots would not fit in int64
+        (AggregateSpec.equal_parallel(7, coupling_v=0.44), six_term_bath(7), (1, 1)),
+    ],
+    ids=["trimer-two-modes", "trimer-v0", "monomer-caps300", "chain7-sixterm"],
+)
+def test_generator_matches_dense_reference(agg, bath, caps):
+    basis = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], *caps)
+    gen = assemble_generator(agg, bath, basis)
+    assert np.array_equal(gen.matrix.toarray(), dense_reference(agg, bath, basis))
+
+
+@st.composite
+def shuffled_problems(draw):
+    """A small aggregate and bath, its basis, a row permutation and a psi0."""
+    n = draw(st.integers(1, 3))
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
+    term = st.tuples(real(0.01, 2.0), real(-2.0, 2.0), real(0.0, 1.0))
+    terms = draw(st.lists(st.lists(term, max_size=2), min_size=n, max_size=n))
+    agg = AggregateSpec.equal_parallel(
+        n, draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)), draw(real(-1.0, 1.0))
+    )
+    bath = LorentzianBath(tuple(tuple(t) for t in terms))
+    basis = enumerate_basis(
+        n, [len(t) for t in terms], draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    )
+    perm = np.array(draw(st.permutations(range(len(basis)))))
+    psi0 = np.array(draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)))
+    return agg, bath, basis, perm, psi0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shuffled_problems())
+def test_basis_ordering_invariance(problem):
+    # assembling P.basis gives exactly P G P^T, and the embedding permutes along
+    agg, bath, basis, perm, psi0 = problem
+    g = assemble_generator(agg, bath, basis).matrix.toarray()
+    shuffled = assemble_generator(agg, bath, basis[perm])
+    assert np.array_equal(shuffled.basis, basis[perm])
+    assert np.array_equal(shuffled.matrix.toarray(), g[np.ix_(perm, perm)])
+    assert np.array_equal(
+        embed_initial_state(basis[perm], psi0), embed_initial_state(basis, psi0)[perm]
+    )
 
 
 def test_default_caps_heuristic():
@@ -237,10 +316,18 @@ def test_converge_caps_budget_failure_reports_overlaps():
 
 
 def test_pm_state_and_index_types():
-    state = PmBasisState(monomer=0, occupations=(0, 1))
-    assert state.occupations == (0, 1)
+    # one read-only integer row (n, beta...) per state; the generator keeps it
     basis = enumerate_basis(2, [1, 1], 1, 1)
+    assert basis.dtype.kind == "i" and not basis.flags.writeable
+    assert rows(basis) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0),
+    ]
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    gen = assemble_generator(agg, DIMER_BATH, basis)
+    assert gen.basis is basis and gen.dim == 6
+    with pytest.raises(ValueError, match="occupation length"):
+        assemble_generator(agg, DIMER_BATH, basis[:, :2])
     psi = embed_initial_state(basis, np.array([0.6, 0.8]))
-    # exactly two vacuum slots carry the electronic amplitudes
-    assert np.count_nonzero(psi) == 2
-    assert psi @ psi == pytest.approx(1.0)
+    # exactly the two vacuum rows carry the electronic amplitudes
+    assert np.flatnonzero(psi).tolist() == [0, 3]
+    assert psi[[0, 3]].tolist() == [0.6, 0.8]

@@ -187,14 +187,6 @@ def test_rk4_order_via_step_halving():
     assert errors[0] / errors[1] >= 8.0
 
 
-def test_self_check_mode():
-    agg = AggregateSpec.equal_parallel(1)
-    cfg = PropagationConfig(dt=0.05, t_max=20.0)
-    propagate_zofe(agg, MONOMER_BATH, cfg, self_check_tol=1e-4)
-    with pytest.raises(PropagationError, match="self check"):
-        propagate_zofe(agg, MONOMER_BATH, cfg, self_check_tol=1e-14)
-
-
 def test_mismatched_bath_length_rejected():
     agg = AggregateSpec.equal_parallel(2)
     with pytest.raises(ValueError):
