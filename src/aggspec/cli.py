@@ -8,7 +8,7 @@ cannot silently change a run.  Blocks:
   [bath]       huang_rhys or gamma_amp, omega, gamma   (parallel lists,
                replicated for every monomer; omit the block for no coupling)
   [run]        method, dt, t_max, eta, nu_min/nu_max/nu_step, pm_caps,
-               pm_tolerance, v_values, max_states
+               pm_tolerance, v_values
   [scan]       v_min, v_max, v_steps, keep_spectra
 
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
@@ -63,7 +63,6 @@ class ScenarioConfig:
     nu: np.ndarray
     pm_caps: tuple | None  # None means auto (converge_caps)
     pm_tolerance: float
-    max_states: int
     v_values: tuple | None
     scan: tuple | None  # (v_min, v_max, v_steps)
     keep_spectra: bool
@@ -74,7 +73,7 @@ _KNOWN_KEYS = {
     "bath": {"huang_rhys", "gamma_amp", "omega", "gamma"},
     "run": {
         "method", "dt", "t_max", "eta", "nu_min", "nu_max", "nu_step",
-        "pm_caps", "pm_tolerance", "v_values", "max_states",
+        "pm_caps", "pm_tolerance", "v_values",
     },
     "scan": {"v_min", "v_max", "v_steps", "keep_spectra"},
 }
@@ -255,7 +254,9 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         nu_step = _float(run["nu_step"], "nu_step")
         if not (nu_step > 0 and nu_max > nu_min):
             raise ConfigError("need nu_max > nu_min and nu_step > 0")
-        count = int(np.floor((nu_max - nu_min) / nu_step)) + 1
+        # a step that divides the range up to rounding (a quotient within a
+        # relative 1e-9 below an integer) keeps nu_max on the grid
+        count = int(np.floor((nu_max - nu_min) / nu_step * (1.0 + 1e-9))) + 1
         nu = nu_min + nu_step * np.arange(count)
     else:
         wide = dataclasses.replace(agg, coupling_v=v_extent)
@@ -275,13 +276,11 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not pm_tolerance > 0:
         raise ConfigError("pm_tolerance must be positive")
-    max_states = _int(run.get("max_states", "2000000"), "max_states")
 
     return ScenarioConfig(
         aggregate=agg, bath=bath, method=method, propagation=propagation,
         eta=eta, nu=nu, pm_caps=pm_caps, pm_tolerance=pm_tolerance,
-        max_states=max_states, v_values=v_values,
-        scan=scan, keep_spectra=keep_spectra,
+        v_values=v_values, scan=scan, keep_spectra=keep_spectra,
     )
 
 
@@ -298,21 +297,18 @@ def _write_tsv(path, header, rows):
     return Path(path)
 
 
-def _resolve_caps(cfg: ScenarioConfig, agg: AggregateSpec):
-    """Explicit caps from the config, or a cap ladder run when auto."""
+def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
+    """((b_tot, b_mode), trace) of the pseudomode side of one coupling.
+
+    Explicit caps propagate once.  Auto caps run the cap ladder and return
+    the trace of the rung it accepts, which the ladder has already propagated.
+    """
     if cfg.pm_caps is not None:
-        return cfg.pm_caps
-    b_tot, b_mode, _ = converge_caps(
-        agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta,
-        nu=cfg.nu, max_states=cfg.max_states,
+        return cfg.pm_caps, pm_correlation(agg, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
+    b_tot, b_mode, trace = converge_caps(
+        agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu,
     )
-    return (b_tot, b_mode)
-
-
-def _pm_trace(agg, cfg: ScenarioConfig, caps):
-    return pm_correlation(
-        agg, cfg.bath, cfg.propagation, caps=caps, max_states=cfg.max_states
-    )
+    return (b_tot, b_mode), trace
 
 
 def _write_trace_and_spectrum(out, method, suffix, trace, cfg: ScenarioConfig):
@@ -351,7 +347,7 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> list:
         written += _write_zofe_lanes(out, aggs, suffixes, cfg)
     if cfg.method in ("pm", "both"):
         for agg, suffix in zip(aggs, suffixes):
-            trace = _pm_trace(agg, cfg, _resolve_caps(cfg, agg))
+            _, trace = _pm_caps_and_trace(agg, cfg)
             written += _write_trace_and_spectrum(out, "pm", suffix, trace, cfg)
     return written
 
@@ -374,18 +370,23 @@ def _lane_spectra(aggs, cfg: ScenarioConfig, config: PropagationConfig):
     return results
 
 
-def _zofe_scan_spectra(aggs, cfg: ScenarioConfig, halvings=3):
+# dt/2 reruns a scan lane stopped by the ZOFE norm guard gets before it fails
+_SCAN_HALVINGS = 3
+
+
+def _zofe_scan_spectra(aggs, cfg: ScenarioConfig):
     """ZOFE spectra of the scan lanes, with a deterministic step ladder.
 
     The auxiliary feedback of the reduced-space method has narrow coupling
     windows with sharp transients; a scan resolves them with a smaller step
     instead of failing.  Lanes the norm guard stopped rerun together at dt/2,
-    up to ``halvings`` times, so each lane ends at the first dt of the ladder
-    that its guard accepts, however the lanes are batched.
+    up to ``_SCAN_HALVINGS`` times, so each lane ends at the first dt of the
+    ladder that its guard accepts, however the lanes are batched.
     """
     results = [None] * len(aggs)
     pending = list(range(len(aggs)))
     dt = cfg.propagation.dt
+    halvings = _SCAN_HALVINGS
     while pending:
         config = PropagationConfig(dt=dt, t_max=cfg.propagation.t_max)
         batch = _lane_spectra([aggs[i] for i in pending], cfg, config)
@@ -399,12 +400,13 @@ def _zofe_scan_spectra(aggs, cfg: ScenarioConfig, halvings=3):
     return results
 
 
-def _vscan_point(agg, cfg: ScenarioConfig, caps, spec_z):
+def _vscan_point(agg, cfg: ScenarioConfig, spec_z):
     """Pseudomode side of one scan point; returns (overlap or nan, error, spectra)."""
     if isinstance(spec_z, Exception):
         return float("nan"), str(spec_z), None
     try:
-        spec_p = absorption_from_trace(_pm_trace(agg, cfg, caps), cfg.eta, cfg.nu)
+        _, trace = _pm_caps_and_trace(agg, cfg)
+        spec_p = absorption_from_trace(trace, cfg.eta, cfg.nu)
     except (PropagationError, TraceTailError) as exc:
         return float("nan"), str(exc), None
     kept = (spec_z.values, spec_p.values) if cfg.keep_spectra else None
@@ -414,10 +416,10 @@ def _vscan_point(agg, cfg: ScenarioConfig, caps, spec_z):
 def _vscan_chunk(payload):
     """A contiguous chunk of scan points: one ZOFE batch, then the pseudomode
     side point by point.  Returns [(v, overlap or nan, error, spectra)]."""
-    cfg, v_chunk, caps = payload
+    cfg, v_chunk = payload
     aggs = [dataclasses.replace(cfg.aggregate, coupling_v=v) for v in v_chunk]
     spectra_z = _zofe_scan_spectra(aggs, cfg)
-    return [(v, *_vscan_point(agg, cfg, caps, spec_z))
+    return [(v, *_vscan_point(agg, cfg, spec_z))
             for v, agg, spec_z in zip(v_chunk, aggs, spectra_z)]
 
 
@@ -438,14 +440,15 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
         v_grid = np.array([v_min])
     else:
         v_grid = v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
-    # Caps are certified once, at the strongest coupling visited, and reused
-    # for every point so the scan is consistent and reproducible.
-    caps_agg = dataclasses.replace(
-        cfg.aggregate, coupling_v=float(v_grid[np.argmax(np.abs(v_grid))])
-    )
-    caps = _resolve_caps(cfg, caps_agg)
+    if cfg.pm_caps is None:
+        # Caps are certified once, at the strongest coupling visited, and
+        # reused for every point so the scan is consistent and reproducible.
+        caps_agg = dataclasses.replace(
+            cfg.aggregate, coupling_v=float(v_grid[np.argmax(np.abs(v_grid))])
+        )
+        cfg = dataclasses.replace(cfg, pm_caps=_pm_caps_and_trace(caps_agg, cfg)[0])
     chunks = np.array_split(v_grid, max(1, min(threads, v_grid.size)))
-    payloads = [(cfg, [float(v) for v in chunk], caps) for chunk in chunks]
+    payloads = [(cfg, [float(v) for v in chunk]) for chunk in chunks]
     if len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = [row for rows in pool.map(_vscan_chunk, payloads) for row in rows]
@@ -473,17 +476,13 @@ def run_converge(cfg: ScenarioConfig, out_dir):
     """Certify pseudomode caps and write the converged spectrum and trace."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    b_tot, b_mode, trace = converge_caps(
-        cfg.aggregate, cfg.bath, cfg.propagation, cfg.pm_tolerance,
-        eta=cfg.eta, nu=cfg.nu, max_states=cfg.max_states,
+    # the ladder runs even when the scenario gives explicit caps
+    (b_tot, b_mode), trace = _pm_caps_and_trace(
+        cfg.aggregate, dataclasses.replace(cfg, pm_caps=None)
     )
-    spectrum = absorption_from_trace(trace, cfg.eta, cfg.nu)
     written = [
         _write_tsv(out / "converged_caps.tsv", ("b_tot", "b_mode"), [(b_tot, b_mode)]),
-        _write_tsv(out / "trace_pm.tsv", ("t", "ReM", "ImM"),
-                   zip(trace.times, trace.samples.real, trace.samples.imag)),
-        _write_tsv(out / "spectrum_pm.tsv", ("nu", "A"),
-                   zip(spectrum.nu, spectrum.values)),
+        *_write_trace_and_spectrum(out, "pm", "", trace, cfg),
     ]
     print(f"converged caps: b_tot = {b_tot}, b_mode = {b_mode}")
     return written

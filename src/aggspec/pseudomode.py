@@ -267,25 +267,26 @@ def propagate_pm(
         raise ValueError("initial state does not match the generator dimension")
     matrix = generator.matrix
     dt = config.dt
-    n_steps = config.n_steps
     if doubling:
         if np.any(psi0_embedded.imag != 0.0):
             raise PropagationError("doubling requires real initial state")
-        half_steps = (n_steps + 1) // 2
-        samples = np.empty(half_steps + 1, dtype=complex)
-        psi = psi0_embedded.copy()
-        samples[0] = mu_tot_sq * np.dot(psi, psi)
-        for k in range(half_steps):
-            psi = _rk4_step(matrix, psi, dt)
-            samples[k + 1] = mu_tot_sq * np.dot(psi, psi)
-        return _checked_trace(2.0 * dt, samples, mu_tot_sq)
+        n_steps, spacing = (config.n_steps + 1) // 2, 2.0 * dt
+    else:
+        n_steps, spacing = config.n_steps, dt
+
+    def sample(psi):
+        return np.dot(psi, psi) if doubling else np.vdot(psi0_embedded, psi)
+
     samples = np.empty(n_steps + 1, dtype=complex)
     psi = psi0_embedded.copy()
-    samples[0] = mu_tot_sq * np.vdot(psi0_embedded, psi)
-    for k in range(n_steps):
-        psi = _rk4_step(matrix, psi, dt)
-        samples[k + 1] = mu_tot_sq * np.vdot(psi0_embedded, psi)
-    return _checked_trace(dt, samples, mu_tot_sq)
+    samples[0] = mu_tot_sq * sample(psi)
+    # An unstable step overflows to inf and nan; _checked_trace reports that
+    # as an error, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            psi = _rk4_step(matrix, psi, dt)
+            samples[k + 1] = mu_tot_sq * sample(psi)
+    return _checked_trace(spacing, samples, mu_tot_sq)
 
 
 def _checked_trace(dt, samples, mu_tot_sq):
@@ -330,8 +331,8 @@ def pm_correlation(
     """Convenience wrapper: enumerate, assemble, embed and propagate.
 
     ``caps`` is (b_tot, b_mode), a single int for both, or None for the
-    default heuristic.  Doubling is dropped automatically if the bright
-    state is not real (it always is for the real dipoles of AggregateSpec).
+    default heuristic.  The bright state is real (AggregateSpec stores real
+    dipoles), so the default ``doubling`` always applies.
     """
     if caps is None:
         caps = default_caps(bath)
@@ -341,7 +342,6 @@ def pm_correlation(
     generator = assemble_generator(agg, bath, basis)
     psi0, mu_tot = initial_bright_state(agg)
     psi0_embedded = embed_initial_state(basis, psi0)
-    doubling = doubling and not np.any(psi0_embedded.imag != 0.0)
     return propagate_pm(
         generator, psi0_embedded, config, mu_tot_sq=mu_tot**2, doubling=doubling
     )
@@ -354,7 +354,6 @@ def converge_caps(
     tolerance: float,
     eta: float = 0.01,
     nu=None,
-    doubling: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
 ):
     """Smallest cap on the doubling ladder whose spectrum overlaps the next
@@ -373,17 +372,13 @@ def converge_caps(
     if not any(bath.terms):
         # no electron-vibration coupling: every cap spans the same basis, so
         # the ladder is trivially converged at zero occupation
-        trace = pm_correlation(
-            agg, bath, config, caps=0, doubling=doubling, max_states=max_states
-        )
+        trace = pm_correlation(agg, bath, config, caps=0, max_states=max_states)
         return 0, 0, trace
     overlaps = []
     prev = None  # (cap, trace, spectrum)
     for cap in (2**k for k in itertools.count()):
         try:
-            trace = pm_correlation(
-                agg, bath, config, caps=cap, doubling=doubling, max_states=max_states
-            )
+            trace = pm_correlation(agg, bath, config, caps=cap, max_states=max_states)
         except BasisSizeError as exc:
             raise CapConvergenceError(
                 f"cap ladder needs {exc.dim} states at cap {cap}, over the budget "

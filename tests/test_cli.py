@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aggspec import pseudomode
 from aggspec.cli import (
     ConfigError,
     _zofe_scan_spectra,
@@ -104,10 +105,11 @@ def read_tsv(path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    # a typo, and the retired doubling knob (propagation always doubles
-    # when the bright state is real)
+    # a typo, the retired doubling knob (propagation always doubles when the
+    # bright state is real) and the retired max_states knob
     for text in (MONOMER_CFG.replace("eta =", "etaa ="),
-                 MONOMER_CFG.replace("[run]", "[run]\ndoubling = false")):
+                 MONOMER_CFG.replace("[run]", "[run]\ndoubling = false"),
+                 MONOMER_CFG.replace("[run]", "[run]\nmax_states = 10")):
         path = write_cfg(tmp_path, text)
         with pytest.raises(ConfigError, match="unknown key"):
             load_scenario(path)
@@ -147,6 +149,12 @@ def test_scenario_fields(tmp_path):
     assert cfg.pm_caps == (10, 10)
     assert cfg.nu[0] == pytest.approx(-4.0)
     assert cfg.nu[-1] == pytest.approx(6.0)
+    # 0.6 / 0.1 is 5.999999999999999 in floating point; nu_max stays on the grid
+    text = MONOMER_CFG.replace("nu_min = -4\nnu_max = 6\nnu_step = 0.01",
+                               "nu_min = -0.3\nnu_max = 0.3\nnu_step = 0.1")
+    cfg = load_scenario(write_cfg(tmp_path, text))
+    assert cfg.nu.size == 7
+    assert cfg.nu[-1] == pytest.approx(0.3)
 
 
 def test_zero_strength_terms_are_dropped(tmp_path):
@@ -301,6 +309,50 @@ def test_converge_subcommand_writes_caps(tmp_path):
     assert caps.shape == (1, 2)
     assert caps[0, 0] >= 2
     assert (out / "spectrum_pm.tsv").exists()
+
+
+def test_auto_caps_spectrum_propagates_each_rung_once(tmp_path, monkeypatch):
+    # spectrum with auto caps writes the trace of the rung the ladder accepts
+    # (caps 8 of 1, 2, 4, 8, 16 for this trimer) without propagating it again,
+    # and the same files as converge
+    text = """
+[aggregate]
+n_monomers = 3
+epsilon = 0 0 0
+coupling_v = 1.5
+
+[bath]
+huang_rhys = 0.64
+omega = 1.0
+gamma = 0.25
+
+[run]
+method = pm
+dt = 0.01
+t_max = 150
+eta = 0.01
+nu_min = -7
+nu_max = 11
+nu_step = 0.01
+pm_caps = auto
+pm_tolerance = 1e-3
+"""
+    cfg = load_scenario(write_cfg(tmp_path, text))
+    dims = []
+    original = pseudomode.propagate_pm
+
+    def counted(generator, *args, **kwargs):
+        dims.append(generator.dim)
+        return original(generator, *args, **kwargs)
+
+    monkeypatch.setattr(pseudomode, "propagate_pm", counted)
+    for command, run in (("converge", run_converge), ("spectrum", run_spectrum)):
+        dims.clear()
+        run(cfg, tmp_path / command)
+        assert dims == [12, 30, 105, 495, 2907], command
+    for name in ("trace_pm.tsv", "spectrum_pm.tsv"):
+        assert (tmp_path / "spectrum" / name).read_bytes() == \
+            (tmp_path / "converge" / name).read_bytes()
 
 
 def test_main_exit_codes(tmp_path):
