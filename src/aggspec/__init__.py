@@ -34,6 +34,7 @@ from .pseudomode import (
     default_caps,
     embed_initial_state,
     enumerate_basis,
+    krylov_correlation,
     pm_correlation,
     propagate_pm,
 )

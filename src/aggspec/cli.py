@@ -22,6 +22,8 @@ The ZOFE side of a run propagates all its couplings as one lane batch
 together at dt/2, up to three halvings; ``--threads`` splits the scan into
 contiguous chunks of lanes, one per worker process.  A lane's result does not
 depend on the batch it ran in, so the files do not depend on the split.
+The pseudomode side takes every trace from ``krylov_correlation``, a Lanczos
+recursion with no time step: dt sets only its sample grid.
 
 Exit codes: 0 ok, 1 config error, 2 solver error, 3 partial scan.
 """
@@ -39,7 +41,7 @@ import numpy as np
 
 from .model import AggregateSpec, LorentzianBath, huang_rhys_to_gamma
 from .propagation import PropagationConfig, PropagationError, default_time_step
-from .pseudomode import converge_caps, default_nu_grid, pm_correlation
+from .pseudomode import converge_caps, default_nu_grid, krylov_correlation
 from .spectra import CorrelationTrace, TraceTailError, absorption_from_trace, overlap
 from .zofe import propagate_zofe_lanes
 
@@ -300,11 +302,13 @@ def _write_tsv(path, header, rows):
 def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
     """((b_tot, b_mode), trace) of the pseudomode side of one coupling.
 
-    Explicit caps propagate once.  Auto caps run the cap ladder and return
-    the trace of the rung it accepts, which the ladder has already propagated.
+    Every trace comes from ``krylov_correlation``.  Explicit caps compute it
+    once.  Auto caps run the cap ladder and return the trace of the rung it
+    accepts, which the ladder has already computed.
     """
     if cfg.pm_caps is not None:
-        return cfg.pm_caps, pm_correlation(agg, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
+        return cfg.pm_caps, krylov_correlation(agg, cfg.bath, cfg.propagation,
+                                               caps=cfg.pm_caps)
     b_tot, b_mode, trace = converge_caps(
         agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu,
     )

@@ -26,11 +26,27 @@ symmetric, exp(G t) is symmetric too, so the correlation value at 2t follows
 from the state at t alone:  M(2t) = mu_tot^2 * psi(t)^T psi(t)  (plain
 transpose, no conjugation).  This doubling trick halves the propagation time
 and holds exactly, step-for-step, for the RK4 scheme as well.
+
+The same symmetry gives the trace without time stepping.  A complex-symmetric
+Lanczos recursion (Freund, SIAM J. Sci. Stat. Comput. 13, 425 (1992)) in the
+bilinear form x^T y, started from the real psi0, keeps three vectors and
+builds an m x m complex-symmetric tridiagonal T with
+M(t) ~= mu_tot^2 e1^T exp(T t) e1 (Saad, SIAM J. Numer. Anal. 29, 209
+(1992)).  ``krylov_correlation`` evaluates it from the eigen-decomposition of
+T on the doubling grid of ``propagate_pm`` and deepens the recursion 32, 64,
+128, ... until two depths agree.  G = -1j*H - D has its numerical range in
+Re <= 0, so a Ritz value with Re > 0 is a Lanczos ghost, not an eigenvalue
+of G, and is dropped.  A Ritz value that carries weight past the Nyquist
+frequency pi / (2 dt) of the grid is an error: the spectrum would show that
+weight at a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
+import functools
 import itertools
 import math
 
@@ -57,12 +73,29 @@ __all__ = [
     "embed_initial_state",
     "propagate_pm",
     "pm_correlation",
+    "krylov_correlation",
     "default_caps",
     "converge_caps",
     "default_nu_grid",
 ]
 
 DEFAULT_MAX_STATES = 2_000_000
+
+# Lanczos depths tried in turn; a depth is accepted when its trace agrees with
+# the previous depth's within _KRYLOV_TOL * mu_tot^2 at every sample.
+_KRYLOV_DEPTHS = (32, 64, 128, 256, 512, 1024)
+_KRYLOV_TOL = 1e-10
+# |M(t)| may exceed M(0) = mu_tot^2 by this relative amount (rounding) only
+_GROWTH_TOL = 1e-9
+# a residual below this fraction of |G v| ends the recursion exactly
+_LUCKY_TOL = 1e-14
+# Ritz values with Re above this fraction of max |lambda| are ghosts
+_GHOST_RE = 1e-12
+# a Ritz component past the Nyquist frequency of the sample grid with a
+# weight above this fraction of M(0) is an error
+_ALIAS_WEIGHT = 1e-6
+# samples evaluated per block of exp(t lambda)
+_BLOCK = 256
 
 
 class BasisSizeError(PropagationError):
@@ -320,6 +353,19 @@ def default_caps(bath: LorentzianBath) -> int:
     return math.ceil(4.0 + 6.0 * max_x)
 
 
+def _generator_and_state(agg, bath, caps, max_states):
+    """(generator, embedded bright state, mu_tot^2) at ``caps``: (b_tot,
+    b_mode), a single int for both, or None for the default heuristic."""
+    if caps is None:
+        caps = default_caps(bath)
+    b_tot, b_mode = (caps, caps) if isinstance(caps, (int, np.integer)) else caps
+    modes = [len(t) for t in bath.terms]
+    basis = enumerate_basis(agg.n_monomers, modes, b_tot, b_mode, max_states)
+    generator = assemble_generator(agg, bath, basis)
+    psi0, mu_tot = initial_bright_state(agg)
+    return generator, embed_initial_state(basis, psi0), mu_tot**2
+
+
 def pm_correlation(
     agg: AggregateSpec,
     bath: LorentzianBath,
@@ -328,23 +374,176 @@ def pm_correlation(
     doubling: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> CorrelationTrace:
-    """Convenience wrapper: enumerate, assemble, embed and propagate.
+    """Convenience wrapper: enumerate, assemble, embed and propagate (RK4).
 
     ``caps`` is (b_tot, b_mode), a single int for both, or None for the
     default heuristic.  The bright state is real (AggregateSpec stores real
     dipoles), so the default ``doubling`` always applies.
     """
-    if caps is None:
-        caps = default_caps(bath)
-    b_tot, b_mode = (caps, caps) if isinstance(caps, (int, np.integer)) else caps
-    modes = [len(t) for t in bath.terms]
-    basis = enumerate_basis(agg.n_monomers, modes, b_tot, b_mode, max_states)
-    generator = assemble_generator(agg, bath, basis)
-    psi0, mu_tot = initial_bright_state(agg)
-    psi0_embedded = embed_initial_state(basis, psi0)
+    generator, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
     return propagate_pm(
-        generator, psi0_embedded, config, mu_tot_sq=mu_tot**2, doubling=doubling
+        generator, psi0_embedded, config, mu_tot_sq=mu_tot_sq, doubling=doubling
     )
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS library loaded in
+    this process (numpy's among them); empty where none can be found.  The
+    numpy 2 wheels name them scipy_openblas_*64_, older wheels openblas_*64_,
+    a system OpenBLAS openblas_*."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1]):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block.  Its eigen-solve, solve
+    and long dot products round differently with the size of its thread
+    pool; on one thread the Lanczos trace, which is written to files, does
+    not depend on the pool size, and worker processes do not oversubscribe
+    the cores."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, saved):
+            set_(n)
+
+
+def krylov_correlation(
+    agg: AggregateSpec,
+    bath: LorentzianBath,
+    config: PropagationConfig,
+    caps=None,
+    max_states: int = DEFAULT_MAX_STATES,
+) -> CorrelationTrace:
+    """The trace of ``pm_correlation`` from a complex-symmetric Lanczos
+    recursion instead of RK4 steps.
+
+    The samples lie on the same grid (spacing 2*dt, (n_steps + 1)//2 + 1
+    samples); dt sets only that grid, as the exponential of T is exact.
+    Raises PropagationError on a serious breakdown, if no depth up to 1024
+    converges, if the trace grows above M(0) = mu_tot^2, or if 2*dt aliases
+    a Ritz value with weight.
+    """
+    generator, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
+    return _lanczos_trace(generator.matrix, psi0_embedded, config, mu_tot_sq)
+
+
+@_one_blas_thread()
+def _lanczos_trace(matrix, psi0, config: PropagationConfig, mu_tot_sq):
+    """mu_tot^2 psi0^T exp(matrix t) psi0 on the doubling grid of
+    ``propagate_pm``, from the Lanczos tridiagonal of a complex-symmetric
+    ``matrix`` and a real ``psi0``."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if np.any(psi0.imag != 0.0):
+        raise PropagationError("the Lanczos recursion requires a real initial state")
+    spacing = 2.0 * config.dt
+    n_samples = (config.n_steps + 1) // 2 + 1
+    norm_sq = float(psi0.real @ psi0.real)
+    scale = mu_tot_sq * norm_sq
+    alpha, beta = [], []  # diagonal and off-diagonal of T
+    v_prev, v = np.zeros_like(psi0), psi0 / np.sqrt(norm_sq)
+    exact = False
+    previous = None
+    for depth in _KRYLOV_DEPTHS:
+        while not exact and len(alpha) < depth:
+            w = matrix @ v
+            size = np.linalg.norm(w)
+            if beta:
+                w -= beta[-1] * v_prev
+            alpha.append(v @ w)
+            w -= alpha[-1] * v
+            residual = np.linalg.norm(w)
+            if residual <= _LUCKY_TOL * size:
+                exact = True  # the vectors so far span an invariant subspace
+                break
+            ww = w @ w
+            if abs(ww) <= np.finfo(float).eps * residual**2:
+                raise PropagationError(
+                    f"serious breakdown of the Lanczos recursion at depth {len(alpha)}"
+                )
+            beta.append(np.sqrt(ww))
+            v_prev, v = v, w / beta[-1]
+        samples = _ritz_trace(alpha, beta, spacing, n_samples, scale)
+        if exact or (previous is not None
+                     and np.abs(samples - previous).max() <= _KRYLOV_TOL * mu_tot_sq):
+            return _checked_krylov_trace(spacing, samples, mu_tot_sq, scale)
+        previous = samples
+    raise PropagationError(
+        f"Lanczos trace did not converge by depth {_KRYLOV_DEPTHS[-1]}"
+    )
+
+
+def _ritz_trace(alpha, beta, spacing, n_samples, scale):
+    """scale * e1^T exp(T t) e1 at t = 0, spacing, ..., T the complex-symmetric
+    tridiagonal with diagonal ``alpha`` and off-diagonal ``beta``."""
+    m = len(alpha)
+    i = np.arange(m)
+    tri = np.zeros((m, m), dtype=complex)
+    tri[i, i] = alpha
+    tri[i[1:], i[:-1]] = tri[i[:-1], i[1:]] = beta[: m - 1]
+    lam, vectors = np.linalg.eig(tri)
+    del tri
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    weights = vectors[0] * np.linalg.solve(vectors, e1)
+    # a Ritz value with Re > 0 lies outside the numerical range of G: a ghost
+    kept = lam.real <= _GHOST_RE * np.abs(lam).max()
+    lam, weights = lam[kept], scale * weights[kept]
+    # the grid cannot tell a frequency past pi / spacing from its alias, so
+    # the spectrum would show its weight at the wrong frequency
+    aliased = np.abs(lam.imag) * spacing >= np.pi
+    if np.any(np.abs(weights[aliased]) > _ALIAS_WEIGHT * scale):
+        raise PropagationError(
+            f"dt too large: the sample spacing 2*dt = {spacing:g} aliases the spectrum"
+        )
+    # exp(lam (k B + b) spacing) = exp(lam b spacing) exp(lam B spacing)^k:
+    # one table for b < B, and the weights advance by one factor per block
+    table = np.exp(np.outer(spacing * np.arange(min(_BLOCK, n_samples)), lam))
+    advance = np.exp((_BLOCK * spacing) * lam)
+    samples = np.empty(n_samples, dtype=complex)
+    for start in range(0, n_samples, _BLOCK):
+        block = samples[start:start + _BLOCK]
+        block[:] = table[: block.size] @ weights
+        weights = weights * advance
+    return samples
+
+
+def _checked_krylov_trace(spacing, samples, mu_tot_sq, scale):
+    # exp(G t) never increases the norm, so |M(t)| <= M(0); a trace above
+    # M(0), or an M(0) that lost weight to dropped Ritz values, means the
+    # generator is not dissipative.  Also catches non-finite samples.
+    bound = (1.0 + _GROWTH_TOL) * scale
+    if not (np.all(np.abs(samples) <= bound)
+            and abs(samples[0] - scale) <= _GROWTH_TOL * scale):
+        raise PropagationError(
+            "Lanczos trace grows above M(0) = mu_tot^2; the generator is not dissipative"
+        )
+    samples[0] = scale  # exp(T 0) = 1 exactly
+    return CorrelationTrace(dt=spacing, samples=samples, mu_tot_sq=mu_tot_sq)
 
 
 def converge_caps(
@@ -359,7 +558,8 @@ def converge_caps(
     """Smallest cap on the doubling ladder whose spectrum overlaps the next
     ladder step by at least 100 * (1 - tolerance) percent.
 
-    The ladder is 1, 2, 4, 8, ...; a bath without coupling terms converges
+    Each rung's trace comes from ``krylov_correlation``.  The ladder is
+    1, 2, 4, 8, ...; a bath without coupling terms converges
     trivially at cap 0.  Returns (b_tot, b_mode, trace) for the accepted
     (smaller) cap, with b_mode = b_tot.  Raises CapConvergenceError,
     reporting the last two overlap values, if the memory budget is hit first.
@@ -372,13 +572,13 @@ def converge_caps(
     if not any(bath.terms):
         # no electron-vibration coupling: every cap spans the same basis, so
         # the ladder is trivially converged at zero occupation
-        trace = pm_correlation(agg, bath, config, caps=0, max_states=max_states)
+        trace = krylov_correlation(agg, bath, config, caps=0, max_states=max_states)
         return 0, 0, trace
     overlaps = []
     prev = None  # (cap, trace, spectrum)
     for cap in (2**k for k in itertools.count()):
         try:
-            trace = pm_correlation(agg, bath, config, caps=cap, max_states=max_states)
+            trace = krylov_correlation(agg, bath, config, caps=cap, max_states=max_states)
         except BasisSizeError as exc:
             raise CapConvergenceError(
                 f"cap ladder needs {exc.dim} states at cap {cap}, over the budget "

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .model import AggregateSpec, build_system_hamiltonian, initial_bright_state
 from .propagation import PropagationConfig
@@ -280,6 +279,10 @@ def markov_oracle(agg: AggregateSpec, theta, config: PropagationConfig) -> Corre
     evaluated with a dense matrix exponential of the one-step propagator on
     the N x N electronic space (exact for the fixed grid).
     """
+    # only this oracle needs scipy.linalg; a module-level import would cost
+    # every run about 8 MB of resident memory
+    import scipy.linalg
+
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.size == 1:
         theta = np.full(agg.n_monomers, float(theta[0]))

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +316,7 @@ def test_converge_subcommand_writes_caps(tmp_path):
 
 def test_auto_caps_spectrum_propagates_each_rung_once(tmp_path, monkeypatch):
     # spectrum with auto caps writes the trace of the rung the ladder accepts
-    # (caps 8 of 1, 2, 4, 8, 16 for this trimer) without propagating it again,
+    # (caps 8 of 1, 2, 4, 8, 16 for this trimer) without computing it again,
     # and the same files as converge
     text = """
 [aggregate]
@@ -339,13 +342,14 @@ pm_tolerance = 1e-3
 """
     cfg = load_scenario(write_cfg(tmp_path, text))
     dims = []
-    original = pseudomode.propagate_pm
+    original = pseudomode.krylov_correlation
 
-    def counted(generator, *args, **kwargs):
-        dims.append(generator.dim)
-        return original(generator, *args, **kwargs)
+    def counted(agg, bath, config, caps, **kwargs):
+        # basis size at this rung: three monomers, one mode slot each
+        dims.append(agg.n_monomers * pseudomode.count_occupation_vectors(3, caps, caps))
+        return original(agg, bath, config, caps=caps, **kwargs)
 
-    monkeypatch.setattr(pseudomode, "propagate_pm", counted)
+    monkeypatch.setattr(pseudomode, "krylov_correlation", counted)
     for command, run in (("converge", run_converge), ("spectrum", run_spectrum)):
         dims.clear()
         run(cfg, tmp_path / command)
@@ -375,10 +379,15 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_unstable_pseudomode_step_exits_2_without_nan_rows(tmp_path):
-    # dimer at caps 12 with dt = 0.6: the pseudomode RK4 overflows
+    # dimer at caps 12 with dt = 0.6: the pseudomode RK4 overflows, and the
+    # Lanczos trace's spacing 2 dt = 1.2 aliases its spectrum
     text = VSCAN_CFG.replace("dt = 0.01", "dt = 0.6").replace(
         "dipoles = equal-parallel", "coupling_v = 0.44\ndipoles = equal-parallel")
     path = write_cfg(tmp_path, text)
+    cfg = load_scenario(path)
+    for solver in (pseudomode.pm_correlation, pseudomode.krylov_correlation):
+        with pytest.raises(PropagationError, match="dt too large"):
+            solver(cfg.aggregate, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(path), "--out", str(out), "--method", "pm"]) == 2
     for tsv in out.glob("*.tsv"):
@@ -401,3 +410,13 @@ def test_shipped_figure_configs_parse():
     for path in configs:
         cfg = load_scenario(path)
         assert cfg.method == "both"
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    # only the Markov oracle needs scipy.linalg, and importing it costs every
+    # run about 8 MB of resident memory
+    code = "import sys, aggspec.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+import scipy.sparse
 
+from aggspec import pseudomode
 from aggspec.model import AggregateSpec, LorentzianBath, initial_bright_state
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.pseudomode import (
     BasisSizeError,
     CapConvergenceError,
+    _lanczos_trace,
     _rk4_step,
     assemble_generator,
     converge_caps,
@@ -19,6 +22,7 @@ from aggspec.pseudomode import (
     default_nu_grid,
     embed_initial_state,
     enumerate_basis,
+    krylov_correlation,
     pm_correlation,
     propagate_pm,
 )
@@ -331,3 +335,135 @@ def test_pm_state_and_index_types():
     # exactly the two vacuum rows carry the electronic amplitudes
     assert np.flatnonzero(psi).tolist() == [0, 3]
     assert psi[[0, 3]].tolist() == [0.6, 0.8]
+
+
+def assert_krylov_matches_rk4(agg, bath, cfg, caps, min_overlap=None):
+    """The Lanczos trace equals the RK4 reference within 1e-7 mu^2 on the
+    same grid, and (optionally) their spectra overlap by ``min_overlap``."""
+    fast = krylov_correlation(agg, bath, cfg, caps=caps)
+    reference = pm_correlation(agg, bath, cfg, caps=caps)
+    assert fast.dt == reference.dt
+    assert fast.samples.size == reference.samples.size
+    assert fast.mu_tot_sq == reference.mu_tot_sq
+    assert np.max(np.abs(fast.samples - reference.samples)) <= 1e-7 * fast.mu_tot_sq
+    if min_overlap is not None:
+        nu = default_nu_grid(agg, bath)
+        spectra = [absorption_from_trace(t, 0.01, nu) for t in (fast, reference)]
+        assert overlap(*spectra) >= min_overlap
+
+
+def undamped(n_monomers, terms):
+    """An aggregate whose G has eigenvalues on Re = 0: eig returns them with
+    Re of either sign at rounding level, and only Re above that is a ghost
+    (else M(0) would lose weight)."""
+    agg = AggregateSpec.equal_parallel(n_monomers, list(np.linspace(-0.2, 0.3, n_monomers)), 0.3)
+    return agg, LorentzianBath.uniform(n_monomers, terms)
+
+
+@pytest.mark.parametrize(
+    "agg, bath, caps, t_max, min_overlap",
+    [
+        (AggregateSpec.equal_parallel(1), LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25), 12,
+         150.0, 99.9999),
+        (AggregateSpec.equal_parallel(2, coupling_v=0.44), DIMER_BATH, 12, 150.0, 99.9999),
+        (AggregateSpec.equal_parallel(2, coupling_v=-0.41), DIMER_BATH, 12, 150.0, 99.9999),
+        (AggregateSpec.equal_parallel(3, coupling_v=1.5),
+         LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25), 8, 150.0, 99.9999),
+        (AggregateSpec.equal_parallel(2, coupling_v=0.44), six_term_bath(2), 4,  # dim 3640
+         150.0, 99.9999),
+        # undamped traces do not decay by t_max, so no spectrum
+        (*undamped(3, []), 0, 50.0, None),
+        (*undamped(1, [(0.5, 1.0, 0.0)]), 4, 50.0, None),
+    ],
+    ids=["monomer", "dimer+0.44", "dimer-0.41", "trimer", "sixterm", "electronic-trimer",
+         "undamped-mode"],
+)
+def test_krylov_matches_rk4_reference(agg, bath, caps, t_max, min_overlap):
+    assert_krylov_matches_rk4(agg, bath, PropagationConfig(dt=0.01, t_max=t_max), caps,
+                              min_overlap=min_overlap)
+
+
+@st.composite
+def small_problems(draw):
+    """Up to three monomers with one or two Lorentzians each, caps <= 4."""
+    n = draw(st.integers(1, 3))
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
+    term = st.tuples(real(0.01, 1.0), real(0.2, 2.0), real(0.05, 1.0))
+    terms = draw(st.lists(term, min_size=1, max_size=2))
+    agg = AggregateSpec.equal_parallel(
+        n, draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)), draw(real(-1.0, 1.0))
+    )
+    return agg, LorentzianBath.uniform(n, terms), draw(st.integers(0, 4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_problems())
+def test_krylov_matches_rk4_property(problem):
+    agg, bath, caps = problem
+    assert_krylov_matches_rk4(agg, bath, PropagationConfig(dt=0.01, t_max=20.0), caps)
+
+
+def test_krylov_depth_ladder_matches_a_deeper_recursion(monkeypatch):
+    # this trimer converges at depth 256 (128 and 256 agree); the trace stays
+    # within the 1e-10 tolerance of the depth-512 one
+    agg = AggregateSpec.equal_parallel(3, coupling_v=1.5)
+    bath = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    accepted = krylov_correlation(agg, bath, cfg, caps=8)
+    monkeypatch.setattr(pseudomode, "_KRYLOV_DEPTHS", (256, 512))
+    deep = krylov_correlation(agg, bath, cfg, caps=8)
+    assert np.max(np.abs(accepted.samples - deep.samples)) <= 1e-10 * accepted.mu_tot_sq
+
+
+def test_lanczos_rejects_amplifying_generator():
+    # G + 0.1 I is not dissipative: |M(t)| would rise above M(0) = mu^2
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    basis = enumerate_basis(2, [1, 1], 12, 12)
+    gen = assemble_generator(agg, DIMER_BATH, basis)
+    psi0 = embed_initial_state(basis, initial_bright_state(agg)[0])
+    amplifying = gen.matrix + 0.1 * scipy.sparse.identity(gen.dim, format="csr")
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    with pytest.raises(PropagationError, match="not dissipative"):
+        _lanczos_trace(amplifying, psi0, cfg, 1.0)
+    with pytest.raises(PropagationError, match="real initial state"):
+        _lanczos_trace(gen.matrix, 1j * psi0, cfg, 1.0)
+
+
+def test_lanczos_single_state_stops_at_lucky_breakdown():
+    g = -0.3 - 2.0j
+
+    class Counted:
+        matvecs = 0
+
+        def __matmul__(self, v):
+            Counted.matvecs += 1
+            return g * v
+
+    cfg = PropagationConfig(dt=0.01, t_max=10.0)
+    trace = _lanczos_trace(Counted(), np.array([1.0]), cfg, 2.0)
+    assert Counted.matvecs == 1
+    assert trace.dt == 0.02 and trace.samples.size == 501
+    assert_allclose(trace.samples, 2.0 * np.exp(g * trace.times), rtol=1e-13, atol=0)
+
+
+def test_krylov_trace_does_not_depend_on_the_blas_pool():
+    # OpenBLAS's eig, solve and long dot products round differently with the
+    # size of its thread pool; the Lanczos trace runs on one thread, so its
+    # bytes do not
+    controls = pseudomode._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy's BLAS here is not a loadable OpenBLAS")
+    get, set_ = controls[0]
+    agg = AggregateSpec.equal_parallel(2, coupling_v=1.5)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    saved, traces = get(), []
+    try:
+        for n in (1, 2):
+            set_(n)
+            with pseudomode._one_blas_thread():
+                assert get() == 1
+            assert get() == n
+            traces.append(krylov_correlation(agg, six_term_bath(2), cfg, caps=4).samples)
+    finally:
+        set_(saved)
+    assert traces[0].tobytes() == traces[1].tobytes()
