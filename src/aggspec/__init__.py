@@ -49,7 +49,6 @@ from .spectra import (
     overlap,
 )
 from .zofe import (
-    ZofeState,
     coupling_operators,
     propagate_zofe,
     propagate_zofe_lanes,

@@ -18,10 +18,11 @@ Output files are plain TSV with ``#`` headers and 17-significant-digit
 numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
 The ZOFE side of a run propagates all its couplings as one lane batch
-(``propagate_zofe_lanes``).  In a scan, lanes stopped by the norm guard rerun
-together at dt/2, up to three halvings; ``--threads`` splits the scan into
-contiguous chunks of lanes, one per worker process.  A lane's result does not
-depend on the batch it ran in, so the files do not depend on the split.
+(``propagate_zofe_lanes``).  A lane stopped by the norm guard restarts inside
+the batch with a finer step over the part of its trace up to the trip (see
+``aggspec.zofe``).  ``--threads`` splits a scan into contiguous chunks of
+lanes, one per worker process.  A lane's result does not depend on the batch
+it ran in, so the files do not depend on the split.
 The pseudomode side takes every trace from ``krylov_correlation``, a Lanczos
 recursion with no time step: dt sets only its sample grid.
 
@@ -326,7 +327,7 @@ def _write_trace_and_spectrum(out, method, suffix, trace, cfg: ScenarioConfig):
 
 
 def _write_zofe_lanes(out, aggs, suffixes, cfg: ScenarioConfig):
-    """All couplings as one ZOFE batch; the first guard trip is an error."""
+    """All couplings as one ZOFE batch; the first lane that fails is an error."""
     traces = propagate_zofe_lanes(aggs, cfg.bath, cfg.propagation)
     for trace in traces:
         if isinstance(trace, PropagationError):
@@ -356,14 +357,14 @@ def run_spectrum(cfg: ScenarioConfig, out_dir) -> list:
     return written
 
 
-def _lane_spectra(aggs, cfg: ScenarioConfig, config: PropagationConfig):
+def _zofe_scan_spectra(aggs, cfg: ScenarioConfig):
     """One ZOFE batch; each lane's spectrum, or the error that stopped it.
 
     The traces are transformed as soon as the batch returns, so their shared
     sample block is freed when this function returns.
     """
     results = []
-    for result in propagate_zofe_lanes(aggs, cfg.bath, config):
+    for result in propagate_zofe_lanes(aggs, cfg.bath, cfg.propagation):
         if isinstance(result, CorrelationTrace):
             try:
                 result = absorption_from_trace(result, cfg.eta, cfg.nu)
@@ -371,36 +372,6 @@ def _lane_spectra(aggs, cfg: ScenarioConfig, config: PropagationConfig):
                 # without its traceback, which would keep the trace alive
                 result = exc.with_traceback(None)
         results.append(result)
-    return results
-
-
-# dt/2 reruns a scan lane stopped by the ZOFE norm guard gets before it fails
-_SCAN_HALVINGS = 3
-
-
-def _zofe_scan_spectra(aggs, cfg: ScenarioConfig):
-    """ZOFE spectra of the scan lanes, with a deterministic step ladder.
-
-    The auxiliary feedback of the reduced-space method has narrow coupling
-    windows with sharp transients; a scan resolves them with a smaller step
-    instead of failing.  Lanes the norm guard stopped rerun together at dt/2,
-    up to ``_SCAN_HALVINGS`` times, so each lane ends at the first dt of the
-    ladder that its guard accepts, however the lanes are batched.
-    """
-    results = [None] * len(aggs)
-    pending = list(range(len(aggs)))
-    dt = cfg.propagation.dt
-    halvings = _SCAN_HALVINGS
-    while pending:
-        config = PropagationConfig(dt=dt, t_max=cfg.propagation.t_max)
-        batch = _lane_spectra([aggs[i] for i in pending], cfg, config)
-        retry = []
-        for lane, result in zip(pending, batch):
-            if isinstance(result, PropagationError) and halvings > 0:
-                retry.append(lane)
-            else:
-                results[lane] = result
-        pending, halvings, dt = retry, halvings - 1, dt / 2.0
     return results
 
 

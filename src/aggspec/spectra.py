@@ -100,10 +100,6 @@ class Spectrum:
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "values", values)
 
-    @property
-    def d_nu(self):
-        return float(self.nu[1] - self.nu[0])
-
     def area(self):
         return float(np.trapezoid(self.values, self.nu))
 
@@ -205,14 +201,12 @@ def mean_shift(spec: Spectrum):
 
 
 def _resampled_pair(spec_a: Spectrum, spec_b: Spectrum):
-    """Common grid covering both supports, with both value arrays on it."""
+    """Both value arrays on the union of the two grids, zero outside a
+    spectrum's own grid.  Every sample of either spectrum stays a grid point,
+    so resampling cannot drop a peak that falls between the other's points."""
     if spec_a.nu.size == spec_b.nu.size and np.array_equal(spec_a.nu, spec_b.nu):
         return spec_a.nu, spec_a.values, spec_b.values
-    step = min(spec_a.d_nu, spec_b.d_nu)
-    lo = min(spec_a.nu[0], spec_b.nu[0])
-    hi = max(spec_a.nu[-1], spec_b.nu[-1])
-    n = int(np.floor((hi - lo) / step)) + 1
-    grid = lo + step * np.arange(n)
+    grid = np.union1d(spec_a.nu, spec_b.nu)
     fa = np.interp(grid, spec_a.nu, spec_a.values, left=0.0, right=0.0)
     fb = np.interp(grid, spec_b.nu, spec_b.values, left=0.0, right=0.0)
     return grid, fa, fb

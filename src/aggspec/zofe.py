@@ -27,25 +27,24 @@ matrix whose row n is row n of Qbar[n]; the propagator builds it with one
 gather and one product, without the general operator algebra of
 ``zofe_rhs`` (kept as the reference that tests compare against).
 
-One fixed-step RK4 kernel propagates a batch of lanes at once: a lane is one
-aggregate (typically one coupling value of a scan) under the shared bath,
-with its own -1j H and initial state; psi has shape (B, N) and the
-auxiliaries (B, K, N, N).  Every operation acts lane by lane (stacked
-products and elementwise reductions), so a lane's trace is bit-identical
-whether it runs alone or in any batch.  ``propagate_zofe`` is the batch of
-one.
+One RK4 kernel propagates a batch of lanes at once: a lane is one aggregate
+(typically one coupling value of a scan) under the shared bath, with its own
+-1j H and initial state; psi has shape (B, N) and the auxiliaries
+(B, K, N, N).  Every operation acts lane by lane (stacked products and
+elementwise reductions), so a lane's trace is bit-identical whether it runs
+alone or in any batch.  ``propagate_zofe`` is the batch of one.
 
 The auxiliary feedback is quadratic; in narrow resonance-like windows of the
-electronic coupling it develops sharp transients that the fixed step must
-resolve.  The norm guard runs per lane: a lane whose norm grows leaves the
-batch with a PropagationError ("dt too large") and the others go on.  The
-coupling scan of ``aggspec.cli`` reruns such lanes together at dt/2, up to
-three halvings.
+electronic coupling it develops sharp transients that the step must resolve.
+Each lane keeps its own clock and step dt / 2^level.  A lane whose norm guard
+trips in grid step k restarts from t = 0 inside the running batch and runs
+the grid steps [0, k + _REFINE_MARGIN) one level finer, then dt.  A later
+trip inside that prefix raises the level; one after it extends the prefix
+from the state saved at its end, the state a rerun from t = 0 reaches bit for
+bit.  At dt/8 a trip inside the prefix is the lane's PropagationError.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +59,6 @@ from .propagation import PropagationConfig, PropagationError
 from .spectra import CorrelationTrace
 
 __all__ = [
-    "ZofeState",
     "coupling_operators",
     "zofe_rhs",
     "propagate_zofe",
@@ -71,17 +69,9 @@ __all__ = [
 # exceed 1 beyond integration noise; a larger norm signals an unstable step.
 _NORM_GUARD = 1.0 + 1e-6
 
-
-@dataclass
-class ZofeState:
-    """Propagation state: electronic vector, stacked auxiliary operators, time.
-
-    ``aux[k]`` is the N x N operator Q[n,j] of the k-th flattened bath term.
-    """
-
-    psi: np.ndarray
-    aux: np.ndarray
-    t: float = 0.0
+# refined prefix past a trip, in grid steps, and the finest step dt / 2^_MAX_LEVEL
+_REFINE_MARGIN = 100
+_MAX_LEVEL = 3
 
 
 def coupling_operators(n_monomers: int) -> np.ndarray:
@@ -92,16 +82,15 @@ def coupling_operators(n_monomers: int) -> np.ndarray:
     return ops
 
 
-def zofe_rhs(state: ZofeState, h_sys: np.ndarray, terms: BathTerms, l_ops: np.ndarray):
+def zofe_rhs(psi, aux, h_sys: np.ndarray, terms: BathTerms, l_ops: np.ndarray):
     """Time derivative of (psi, aux) for the closed ZOFE system.
 
+    ``aux[k]`` is the N x N operator Q[n,j] of the k-th flattened bath term.
     General form for arbitrary coupling operators ``l_ops`` (one N x N
     operator per monomer); the propagator uses the specialised batched form
-    for L[n] = -|pi_n><pi_n|.  Returns the pair (dpsi, daux) with the same
-    shapes as ``state.psi`` and ``state.aux``.  Raises ValueError on
-    dimension mismatch.
+    for L[n] = -|pi_n><pi_n|.  Returns the pair (dpsi, daux) with the shapes
+    of ``psi`` and ``aux``.  Raises ValueError on dimension mismatch.
     """
-    psi, aux = state.psi, state.aux
     n = psi.shape[0]
     if h_sys.shape != (n, n):
         raise ValueError("h_sys dimension does not match the state vector")
@@ -122,23 +111,30 @@ class _LaneRhs:
     """Right-hand side of a batch of lanes under one bath, with L[n] = -|n><n|.
 
     ``minus_ih`` is the (B, N, N) stack of -1j H, one per lane; psi is kept
-    as (B, N, 1) columns and aux as (B, K, N, N).
+    as (B, N, 1) columns and aux as (B, K, N, N).  Each lane's derivative
+    comes out multiplied by its rate (``select``).  At rate 2^-l an RK4
+    step dt is bit for bit the RK4 step dt / 2^l at rate 1: scaling by a
+    power of two is exact, so every lane can share the scalar step dt.
     """
 
     def __init__(self, minus_ih, terms: BathTerms):
-        n = minus_ih.shape[-1]
-        self.minus_ih = minus_ih
+        b, n, _ = minus_ih.shape
         self.term_index = np.arange(terms.count)
         self.monomer = terms.monomer
         # owner[n, k] = 1 where term k belongs to monomer n
-        self.owner = (self.monomer == np.arange(n)[:, None]).astype(complex)
-        self.z = terms.z[:, None, None]
+        owner = (self.monomer == np.arange(n)[:, None]).astype(complex)
         # source term Gamma_k L[n_k] of each auxiliary operator
-        self.source = terms.gamma_amp[:, None, None] * coupling_operators(n)[self.monomer]
+        source = terms.gamma_amp[:, None, None] * coupling_operators(n)[self.monomer]
+        # the coefficients of the derivative per lane, at rate 1
+        self.unit = [minus_ih] + [
+            np.broadcast_to(a, (b, *a.shape)) for a in (owner, terms.z[:, None, None], source)]
+        self.select(slice(None), np.ones(b))
 
-    def keep(self, lanes):
-        """Restrict the batch to the given lane positions."""
-        self.minus_ih = self.minus_ih[lanes]
+    def select(self, lanes, rates):
+        """Restrict the batch to the given lane positions, with these rates."""
+        self.unit = [a[lanes] for a in self.unit]
+        self.minus_ih, self.owner, self.z, self.source = (
+            rates.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in self.unit)
 
     def __call__(self, psi, aux):
         # -sum_n L[n]^dag Qbar[n]: row n of each Q[k] owned by monomer n
@@ -154,12 +150,12 @@ class _LaneRhs:
 
 
 def _run_lanes(aggs, bath: LorentzianBath, config: PropagationConfig):
-    """Fixed-step RK4 over a batch of lanes.
+    """RK4 over a batch of lanes, each on its own clock (module docstring).
 
-    Returns (samples, mu_sq, errors, psi, aux): the (B, n_steps + 1) block
-    of M(t_k) per lane, mu_tot^2 per lane, a dict lane -> PropagationError
-    for lanes the norm guard stopped (their rows end at the trip), and the
-    final psi (B', N, 1) and aux (B', K, N, N) of the lanes still running.
+    Returns (samples, mu_sq, levels, errors, psi, aux): M(t_k = k dt) per
+    lane as a (B, n_steps + 1) block, mu_tot^2 and the final level per lane,
+    a dict lane -> PropagationError for the failed lanes (their rows are not
+    valid), and the final psi (B, N, 1) and aux (B, K, N, N).
     """
     n = aggs[0].n_monomers
     if any(agg.n_monomers != n for agg in aggs):
@@ -171,59 +167,98 @@ def _run_lanes(aggs, bath: LorentzianBath, config: PropagationConfig):
     bright = [initial_bright_state(agg) for agg in aggs]
     psi0 = np.stack([p for p, _ in bright])[:, :, None]
     mu_sq = np.array([mu_tot**2 for _, mu_tot in bright])
-    # per running lane; rows are dropped when a lane leaves the batch
-    live_mu_sq, psi0_conj = mu_sq, psi0.conj()
 
-    dt = config.dt
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    n_steps = config.n_steps
-    lanes = len(aggs)
-    live = np.arange(lanes)
-    psi = psi0.copy()
-    aux = np.zeros((lanes, terms.count, n, n), dtype=complex)
+    dt, n_steps, lanes = config.dt, config.n_steps, len(aggs)
+    half, sixth = 0.5 * dt, dt / 6.0
     samples = np.empty((lanes, n_steps + 1), dtype=complex)
     # elementwise reductions, not gemv across lanes: a lane's sums must not
     # depend on which batch it runs in
-    samples[:, 0] = mu_sq * np.einsum("bij,bij->b", psi0_conj, psi)
-    guard_sq = _NORM_GUARD**2
+    samples[:, 0] = mu_sq * np.einsum("bij,bij->b", psi0.conj(), psi0)
+    levels = np.zeros(lanes, dtype=int)
+    prefix = np.zeros(lanes, dtype=int)  # grid steps [0, prefix) run at the level
+    # the state at grid step saved_grid where a lane last started or ended its
+    # prefix or ended its run; a trip after the prefix resumes there
+    saved_grid, saved_psi = np.zeros(lanes, dtype=int), psi0.copy()
+    saved_aux = np.zeros((lanes, terms.count, n, n), dtype=complex)
     errors = {}
+    # per running lane; rows are dropped when a lane ends or fails
+    live, psi0_conj, live_mu_sq = np.arange(lanes), psi0.conj(), mu_sq
+    psi, aux = saved_psi.copy(), saved_aux.copy()
+    # grid steps done, substeps done inside the current one, and the grid
+    # step where the lane ends its prefix or its run (all as of the last event)
+    grid, sub, stop = (np.zeros(lanes, dtype=int) for _ in range(3))
+    nsub, ok = np.ones(lanes, dtype=int), np.ones(lanes, dtype=bool)
+    calls = countdown = 0  # RK4 calls since the last event, and up to the next
 
-    for k in range(n_steps):
-        d1p, d1a = rhs(psi, aux)
-        d2p, d2a = rhs(psi + half * d1p, aux + half * d1a)
-        d3p, d3a = rhs(psi + half * d2p, aux + half * d2a)
-        d4p, d4a = rhs(psi + dt * d3p, aux + dt * d3a)
-        psi = psi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
-        aux = aux + sixth * (d1a + 2.0 * (d2a + d3a) + d4a)
-        norm_sq = np.einsum("bij,bij->b", psi.conj(), psi).real
-        ok = norm_sq <= guard_sq
-        if not ok.all():
-            for pos in np.flatnonzero(~ok):
-                errors[int(live[pos])] = PropagationError(
-                    f"state norm grew to {np.sqrt(norm_sq[pos]):.6g} at "
-                    f"t = {(k + 1) * dt:.4g}; dt too large"
-                )
-            live, psi, aux, psi0_conj, live_mu_sq = (
-                a[ok] for a in (live, psi, aux, psi0_conj, live_mu_sq)
-            )
-            rhs.keep(ok)
-            if live.size == 0:
-                break
-        samples[live, k + 1] = live_mu_sq * np.einsum("bij,bij->b", psi0_conj, psi)
-    return samples, mu_sq, errors, psi, aux
+    # an overflowing lane is reported by its guard, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if calls == countdown:
+                # an event: a lane reached its stop or tripped
+                grid, sub = grid + (sub + calls) // nsub, (sub + calls) % nsub
+                for pos in np.flatnonzero(~ok):
+                    lane = live[pos]
+                    reached = grid[pos] * nsub[pos] + sub[pos]  # substeps since t = 0
+                    step = (reached - 1) // nsub[pos]  # the grid step the trip fell in
+                    if step >= prefix[lane]:
+                        levels[lane], prefix[lane] = max(levels[lane], 1), step + _REFINE_MARGIN
+                    elif levels[lane] < _MAX_LEVEL:
+                        levels[lane] += 1
+                        saved_grid[lane], saved_psi[lane], saved_aux[lane] = 0, psi0[lane], 0.0
+                    else:
+                        h = dt / nsub[pos]
+                        errors[int(lane)] = PropagationError(
+                            f"state norm grew to {np.sqrt(norm_sq[pos]):.6g} at "
+                            f"t = {reached * h:.4g} with step {h:.4g}; dt too large"
+                        )
+                        continue
+                    psi[pos], aux[pos] = saved_psi[lane], saved_aux[lane]
+                    grid[pos], sub[pos] = saved_grid[lane], 0
+                save = grid == stop
+                saved_grid[live[save]], saved_psi[live[save]], saved_aux[live[save]] = (
+                    grid[save], psi[save], aux[save])
+                keep = (grid < n_steps) & np.array([lane not in errors for lane in live])
+                live, psi0_conj, live_mu_sq, psi, aux, grid, sub = (
+                    a[keep] for a in (live, psi0_conj, live_mu_sq, psi, aux, grid, sub))
+                if live.size == 0:
+                    break
+                in_prefix = grid < prefix[live]
+                nsub = 1 << np.where(in_prefix, levels[live], 0)
+                stop = np.where(in_prefix, np.minimum(prefix[live], n_steps), n_steps)
+                rhs.select(keep, 1.0 / nsub)
+                # no lane reaches its stop before this many calls
+                calls, countdown = 0, int(((stop - grid) * nsub - sub).min())
+                ahead = sub + nsub - 1
+
+            d1p, d1a = rhs(psi, aux)
+            d2p, d2a = rhs(psi + half * d1p, aux + half * d1a)
+            d3p, d3a = rhs(psi + half * d2p, aux + half * d2a)
+            d4p, d4a = rhs(psi + dt * d3p, aux + dt * d3a)
+            psi = psi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
+            aux = aux + sixth * (d1a + 2.0 * (d2a + d3a) + d4a)
+            calls += 1
+            # each substep writes M at the grid point it steps toward, so the
+            # last substep of a grid step leaves the sample there; a lane that
+            # trips writes over its slots again when it reruns them
+            samples[live, grid + (ahead + calls) // nsub] = (
+                live_mu_sq * np.einsum("bij,bij->b", psi0_conj, psi))
+            norm_sq = np.einsum("bij,bij->b", psi.conj(), psi).real
+            ok = norm_sq <= _NORM_GUARD**2
+            if not ok.all():
+                countdown = calls
+    return samples, mu_sq, levels, errors, saved_psi, saved_aux
 
 
 def propagate_zofe_lanes(aggs, bath: LorentzianBath, config: PropagationConfig) -> list:
     """Correlation traces of several aggregates under one bath, as one batch.
 
-    Returns one entry per aggregate, in order: its CorrelationTrace, or the
-    PropagationError of the norm guard if that lane's step was too large.
-    Each trace is bit-identical to ``propagate_zofe`` of the same aggregate;
-    the traces share one (B, n_steps + 1) block that lives as long as any of
-    them.
+    Returns one entry per aggregate, in order: its CorrelationTrace on the
+    grid k*dt, or a PropagationError if the norm guard stopped that lane even
+    at dt/8.  Each trace is bit-identical to ``propagate_zofe`` of the same
+    aggregate; the traces share one (B, n_steps + 1) block that lives as long
+    as any of them.
     """
-    samples, mu_sq, errors, _, _ = _run_lanes(aggs, bath, config)
+    samples, mu_sq, _, errors, _, _ = _run_lanes(aggs, bath, config)
     return [
         errors[lane] if lane in errors
         else CorrelationTrace(dt=config.dt, samples=samples[lane], mu_tot_sq=mu_sq[lane])
@@ -231,21 +266,15 @@ def propagate_zofe_lanes(aggs, bath: LorentzianBath, config: PropagationConfig) 
     ]
 
 
-def _propagate(agg: AggregateSpec, bath: LorentzianBath, config: PropagationConfig):
-    """Batch of one; returns (trace, final ZofeState) or raises PropagationError."""
-    samples, mu_sq, errors, psi, aux = _run_lanes([agg], bath, config)
-    if errors:
-        raise errors[0]
-    trace = CorrelationTrace(dt=config.dt, samples=samples[0], mu_tot_sq=mu_sq[0])
-    return trace, ZofeState(psi[0, :, 0], aux[0], config.n_steps * config.dt)
-
-
 def propagate_zofe(
     agg: AggregateSpec, bath: LorentzianBath, config: PropagationConfig
 ) -> CorrelationTrace:
     """Correlation trace M(t_k) = mu_tot^2 <psi0|psi(t_k)> on t_k = k*dt.
 
-    The batch of one; raises PropagationError if the norm guard trips.
+    The batch of one; raises PropagationError if the norm guard stops the
+    lane even at dt/8.
     """
-    trace, _ = _propagate(agg, bath, config)
-    return trace
+    (result,) = propagate_zofe_lanes([agg], bath, config)
+    if isinstance(result, PropagationError):
+        raise result
+    return result

@@ -19,8 +19,8 @@ from aggspec.cli import (
 )
 from aggspec.model import AggregateSpec, LorentzianBath
 from aggspec.propagation import PropagationConfig, PropagationError
-from aggspec.spectra import absorption_from_trace
-from aggspec.zofe import propagate_zofe
+from aggspec.spectra import CorrelationTrace, absorption_from_trace, overlap
+from aggspec.zofe import _run_lanes
 
 MONOMER_CFG = """
 [aggregate]
@@ -217,41 +217,44 @@ def test_vscan_single_point_at_zero_coupling(tmp_path):
 def test_vscan_threads_do_not_change_output(tmp_path):
     three = VSCAN_CFG.replace("v_min = 0\nv_max = 0\nv_steps = 1",
                               "v_min = -0.2\nv_max = 0.2\nv_steps = 3")
-    # five lanes split 3 + 2 over the workers; both end lanes trip the norm
-    # guard at dt and rerun at dt/2, each in a different chunk
+    # five lanes split 3 + 2 or 2 + 2 + 1 over the workers; both end lanes
+    # trip the norm guard at dt and restart with a refined prefix, each in a
+    # different chunk
     five = VSCAN_CFG.replace("t_max = 150\neta = 0.01", "t_max = 30\neta = 0.4") \
                     .replace("v_min = 0\nv_max = 0\nv_steps = 1",
-                             "v_min = -0.425\nv_max = 0.425\nv_steps = 5")
-    for name, text in (("three", three), ("five", five)):
+                             "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
+    for name, text, threads in (("three", three, (1, 2)), ("five", five, (1, 2, 3))):
         cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
-        out1 = tmp_path / name / "serial"
-        out2 = tmp_path / name / "pooled"
-        assert run_vscan(cfg, out1, threads=1)[1] == 0
-        assert run_vscan(cfg, out2, threads=2)[1] == 0
-        assert (out1 / "overlap.tsv").read_bytes() == (out2 / "overlap.tsv").read_bytes()
+        outputs = []
+        for n in threads:
+            out = tmp_path / name / str(n)
+            assert run_vscan(cfg, out, threads=n)[1] == 0
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert all(files == outputs[0] for files in outputs)
+    assert sorted(outputs[0]) == ["overlap.tsv"] + sorted(
+        f"spectrum_{method}_V{v:g}.tsv" for method in ("pm", "zofe")
+        for v in (-0.425, -0.2125, 0.0, 0.2125, 0.425))
 
 
 def test_scan_step_ladder_matches_per_lane_ladder():
-    # Each lane ends at the first dt of the ladder dt, dt/2, ... that its norm
-    # guard accepts, exactly as when every lane is retried on its own.
+    # A lane the norm guard stops reruns only the prefix up to its trip (plus
+    # a margin) at dt/2 and the rest at dt.  Its trace and spectrum stay
+    # within a stated tolerance of the whole lane at dt/2.
     bath = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
     cfg = load_scenario(Path(__file__).resolve().parents[1] / "configs" / "fig1a_scan.cfg")
     cfg = dataclasses.replace(cfg, propagation=PropagationConfig(dt=0.01, t_max=20.0), eta=0.5)
-    couplings = (-0.425, -0.2, 0.0, 0.425)
-    aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in couplings]
+    aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in (-0.425, 0.425, 0.429)]
+    samples, mu_sq, levels, _, _, _ = _run_lanes(aggs, bath, cfg.propagation)
     spectra = _zofe_scan_spectra(aggs, cfg)
-    used = []
-    for agg, spectrum in zip(aggs, spectra):
-        dt = 0.01
-        while True:
-            try:
-                trace = propagate_zofe(agg, bath, PropagationConfig(dt=dt, t_max=20.0))
-                break
-            except PropagationError:
-                dt /= 2
-        used.append(dt)
-        assert np.array_equal(spectrum.values, absorption_from_trace(trace, 0.5, cfg.nu).values)
-    assert used == [0.005, 0.01, 0.01, 0.005]
+    assert list(levels) == [1, 1, 1]
+    whole = PropagationConfig(dt=0.005, t_max=20.0)
+    for b, agg in enumerate(aggs):
+        ref, _, ref_levels, _, _, _ = _run_lanes([agg], bath, whole)
+        assert list(ref_levels) == [0]
+        assert np.max(np.abs(samples[b] - ref[0, ::2])) <= 1e-4 * mu_sq[b]
+        ref_trace = CorrelationTrace(dt=0.01, samples=ref[0, ::2], mu_tot_sq=mu_sq[b])
+        ref_spectrum = absorption_from_trace(ref_trace, cfg.eta, cfg.nu)
+        assert overlap(spectra[b], ref_spectrum) >= 100.0 - 1e-3
 
 
 def test_vscan_requires_both_methods(tmp_path):
@@ -392,6 +395,37 @@ def test_unstable_pseudomode_step_exits_2_without_nan_rows(tmp_path):
     assert main(["spectrum", "--config", str(path), "--out", str(out), "--method", "pm"]) == 2
     for tsv in out.glob("*.tsv"):
         assert "nan" not in tsv.read_text()
+
+
+def test_spectrum_on_a_tripping_heptamer_lane_exits_0(tmp_path):
+    # the 7-site chain at V = 0.42 trips the ZOFE norm guard at dt; the lane
+    # restarts with a refined prefix instead of failing the command
+    text = """
+[aggregate]
+n_monomers = 7
+epsilon = 0
+dipoles = equal-parallel
+
+[bath]
+huang_rhys = 0.64
+omega = 1.0
+gamma = 0.25
+
+[run]
+method = zofe
+dt = 0.01
+t_max = 20
+eta = 0.5
+nu_min = -5
+nu_max = 9
+nu_step = 0.01
+v_values = 0.42
+"""
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    for name in ("trace_zofe_V0.42.tsv", "spectrum_zofe_V0.42.tsv"):
+        data = read_tsv(out / name)
+        assert data.shape[0] > 1 and np.all(np.isfinite(data))
 
 
 def test_multi_coupling_values_write_suffixed_files(tmp_path):

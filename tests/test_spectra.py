@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from aggspec.model import AggregateSpec, LorentzianBath
@@ -216,6 +217,40 @@ def test_overlap_symmetric_and_bounded():
         ab = overlap(a, b)
         assert ab == pytest.approx(overlap(b, a), abs=1e-12)
         assert 0.0 <= ab <= 100.0
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """Two spectra with positive clipped area; the second on the first's grid
+    or on its own uniform grid (so that overlap resamples)."""
+    def spectrum(nu):
+        values = draw(st.lists(st.floats(-1.0, 10.0), min_size=nu.size, max_size=nu.size))
+        values[draw(st.integers(0, nu.size - 1))] = draw(st.floats(0.01, 10.0))
+        return Spectrum(nu=nu, values=values)
+
+    def grid():
+        lo = draw(st.floats(-5.0, 5.0))
+        return lo + draw(st.floats(0.01, 0.5)) * np.arange(draw(st.integers(2, 60)))
+
+    first = spectrum(grid())
+    return first, spectrum(first.nu if draw(st.booleans()) else grid())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spectrum_pairs())
+# a lone positive sample at a grid end, and one between the other's points:
+# a uniform common grid used to drop both and leave no positive area
+@example((Spectrum(nu=[1.1e-267, 0.5], values=[1.0, 0.0]),
+          Spectrum(nu=[0.0, 0.5], values=[1.0, 1.0])))
+@example((Spectrum(nu=[0.3, 1.0, 1.7], values=[-1.0, 0.01, -1.0]),
+          Spectrum(nu=[0.0, 0.6, 1.2, 1.8], values=[1.0, 1.0, 1.0, 1.0])))
+def test_overlap_property_symmetric_bounded_and_100_on_itself(pair):
+    a, b = pair
+    for spec in pair:
+        assert overlap(spec, spec) == pytest.approx(100.0, abs=1e-9)
+    ab = overlap(a, b)
+    assert ab == overlap(b, a)
+    assert 0.0 <= ab <= 100.0
 
 
 def test_overlap_resamples_distinct_grids():

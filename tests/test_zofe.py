@@ -11,10 +11,11 @@ from aggspec.model import (
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.spectra import cumulant_oracle
 from aggspec.zofe import (
+    _MAX_LEVEL,
+    _REFINE_MARGIN,
     BathTerms,
-    ZofeState,
     _LaneRhs,
-    _propagate,
+    _run_lanes,
     coupling_operators,
     propagate_zofe,
     propagate_zofe_lanes,
@@ -28,33 +29,54 @@ SIX_OMEGA = [0.23, 0.42, 0.57, 1.29, 1.41, 1.61]
 SIX_TERM_BATH = LorentzianBath.from_huang_rhys(2, SIX_X, SIX_OMEGA, [0.25 * o for o in SIX_OMEGA])
 
 
-def reference_trace(agg, bath, config):
-    """Single-lane RK4 on the general zofe_rhs, sampled with vdot; the
-    algorithm of the kernel before lanes were batched."""
-    h = build_system_hamiltonian(agg)
+def reference_run(agg, bath, config, level=0, prefix=0):
+    """Single-lane RK4 on the general zofe_rhs, sampled with vdot: grid steps
+    k < prefix take 2^level substeps of dt / 2^level, the others one of dt.
+
+    Returns the samples, or k if the norm guard trips in grid step k.
+    """
+    h_sys = build_system_hamiltonian(agg)
     terms = BathTerms.from_bath(bath)
     l_ops = coupling_operators(agg.n_monomers)
     psi0, mu_tot = initial_bright_state(agg)
     mu_sq = mu_tot**2
 
     def rhs(psi, aux):
-        return zofe_rhs(ZofeState(psi, aux), h, terms, l_ops)
+        return zofe_rhs(psi, aux, h_sys, terms, l_ops)
 
-    dt, half, sixth = config.dt, config.dt / 2, config.dt / 6
     psi = psi0.copy()
     aux = np.zeros((terms.count, agg.n_monomers, agg.n_monomers), dtype=complex)
     samples = [mu_sq * np.vdot(psi0, psi)]
     for k in range(config.n_steps):
-        d1p, d1a = rhs(psi, aux)
-        d2p, d2a = rhs(psi + half * d1p, aux + half * d1a)
-        d3p, d3a = rhs(psi + half * d2p, aux + half * d2a)
-        d4p, d4a = rhs(psi + dt * d3p, aux + dt * d3a)
-        psi = psi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
-        aux = aux + sixth * (d1a + 2.0 * (d2a + d3a) + d4a)
-        if not np.vdot(psi, psi).real <= (1 + 1e-6) ** 2:
-            return k + 1  # step at which the norm guard trips
+        nsub = 2**level if k < prefix else 1
+        h = config.dt / nsub
+        half, sixth = 0.5 * h, h / 6.0
+        for _ in range(nsub):
+            d1p, d1a = rhs(psi, aux)
+            d2p, d2a = rhs(psi + half * d1p, aux + half * d1a)
+            d3p, d3a = rhs(psi + half * d2p, aux + half * d2a)
+            d4p, d4a = rhs(psi + h * d3p, aux + h * d3a)
+            psi = psi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
+            aux = aux + sixth * (d1a + 2.0 * (d2a + d3a) + d4a)
+            if not np.vdot(psi, psi).real <= (1 + 1e-6) ** 2:
+                return k
         samples.append(mu_sq * np.vdot(psi0, psi))
     return np.asarray(samples)
+
+
+def reference_trace(agg, bath, config):
+    """The step refinement of the lane kernel with one whole run per attempt;
+    returns (samples, finest level)."""
+    level, prefix = 0, 0
+    while True:
+        step = reference_run(agg, bath, config, level, prefix)
+        if not isinstance(step, int):
+            return step, level
+        if step < prefix:
+            assert level < _MAX_LEVEL, "lane fails at every level"
+            level += 1
+        else:
+            level, prefix = max(level, 1), step + _REFINE_MARGIN
 
 
 def test_coupling_operators_are_negative_projectors():
@@ -74,7 +96,7 @@ def test_rhs_monomer_hand_check():
     l_ops = coupling_operators(1)
     psi = np.array([0.8 - 0.1j])
     q = np.array([[[0.05 + 0.2j]]])
-    dpsi, daux = zofe_rhs(ZofeState(psi, q, 0.0), h, terms, l_ops)
+    dpsi, daux = zofe_rhs(psi, q, h, terms, l_ops)
     assert_allclose(dpsi, (-1j * eps + q[0, 0, 0]) * psi, atol=1e-15)
     assert_allclose(daux, [[[-gamma_amp - z * q[0, 0, 0]]]], atol=1e-15)
 
@@ -82,9 +104,9 @@ def test_rhs_monomer_hand_check():
 def test_rhs_dimension_mismatch():
     terms = BathTerms.from_bath(MONOMER_BATH)
     l_ops = coupling_operators(1)
-    state = ZofeState(np.zeros(2, complex), np.zeros((1, 2, 2), complex), 0.0)
     with pytest.raises(ValueError):
-        zofe_rhs(state, np.zeros((1, 1), complex), terms, l_ops)
+        zofe_rhs(np.zeros(2, complex), np.zeros((1, 2, 2), complex), np.zeros((1, 1), complex),
+                 terms, l_ops)
 
 
 def test_rhs_sign_convention_flip_is_noop():
@@ -98,8 +120,8 @@ def test_rhs_sign_convention_flip_is_noop():
     l_ops = coupling_operators(2)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     aux = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-    dpsi, daux = zofe_rhs(ZofeState(psi, aux, 0.0), h, terms, l_ops)
-    dpsi_f, daux_f = zofe_rhs(ZofeState(psi, -aux, 0.0), h, terms, -l_ops)
+    dpsi, daux = zofe_rhs(psi, aux, h, terms, l_ops)
+    dpsi_f, daux_f = zofe_rhs(psi, -aux, h, terms, -l_ops)
     assert_allclose(dpsi_f, dpsi, atol=1e-14)
     assert_allclose(daux_f, -daux, atol=1e-14)
 
@@ -108,10 +130,10 @@ def test_auxiliary_closed_form_for_monomer():
     # dQ/dt = Gamma L - z Q integrates to Q(t) = Gamma L (1 - e^{-z t}) / z
     agg = AggregateSpec.equal_parallel(1, epsilon=0.0)
     cfg = PropagationConfig(dt=0.002, t_max=4.0)
-    _, state = _propagate(agg, MONOMER_BATH, cfg)
+    aux = _run_lanes([agg], MONOMER_BATH, cfg)[5][0]
     z = 1j * 1.0 + 0.25
-    expected = 0.64 * (-1.0) * (1.0 - np.exp(-z * state.t)) / z
-    assert_allclose(state.aux[0, 0, 0], expected, atol=1e-10)
+    expected = 0.64 * (-1.0) * (1.0 - np.exp(-z * cfg.n_steps * cfg.dt)) / z
+    assert_allclose(aux[0, 0, 0], expected, atol=1e-10)
 
 
 def test_monomer_matches_cumulant_oracle():
@@ -149,22 +171,22 @@ def test_markov_surrogate_auxiliary_approaches_theta_l():
     theta, gamma = 0.25, 64.0
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.5)
     bath = LorentzianBath.uniform(2, [(theta * gamma, 0.0, gamma)])
-    _, state = _propagate(agg, bath, PropagationConfig(dt=0.0005, t_max=2.0))
+    aux = _run_lanes([agg], bath, PropagationConfig(dt=0.0005, t_max=2.0))[5][0]
     l_ops = coupling_operators(2)
     for k, monomer in enumerate((0, 1)):
-        assert np.max(np.abs(state.aux[k] - theta * l_ops[monomer])) < 0.05 * theta
+        assert np.max(np.abs(aux[k] - theta * l_ops[monomer])) < 0.05 * theta
 
 
 def test_norm_guard_reports_dt_too_large():
-    # Resonance-like coupling window with a sharp auxiliary transient: the
-    # fixed step must resolve it or fail loudly.
-    agg = AggregateSpec.equal_parallel(2, coupling_v=-0.425)
-    bath = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
-    with pytest.raises(PropagationError, match="dt too large"):
-        propagate_zofe(agg, bath, PropagationConfig(dt=0.01, t_max=150.0))
-    # the same point propagates fine with a smaller step
-    trace = propagate_zofe(agg, bath, PropagationConfig(dt=0.0025, t_max=20.0))
-    assert np.all(np.abs(trace.samples) <= trace.mu_tot_sq * (1 + 1e-9))
+    # Strong bath (X = 1.2) near a resonance-like coupling window: the
+    # auxiliary transient trips the norm guard at dt and in every refined
+    # prefix down to dt/8, so the lane fails loudly, without numpy overflow
+    # warnings (the suite turns warnings into errors).
+    agg = AggregateSpec.equal_parallel(2, coupling_v=-0.35)
+    bath = LorentzianBath.from_huang_rhys(2, 1.2, 1.0, 0.25)
+    # t = 14.95 is where a whole run at dt/8 from t = 0 trips, in grid step 1494
+    with pytest.raises(PropagationError, match="at t = 14.95 with step 0.00125; dt too large"):
+        propagate_zofe(agg, bath, PropagationConfig(dt=0.01, t_max=20.0))
 
 
 def test_propagation_is_deterministic():
@@ -224,7 +246,7 @@ def test_lane_rhs_matches_general_rhs(n, bath):
     aux = rng.normal(size=(3, terms.count, n, n)) + 1j * rng.normal(size=(3, terms.count, n, n))
     dpsi, daux = _LaneRhs(np.stack([-1j * h for h in hams]), terms)(psi[:, :, None], aux)
     for b, h in enumerate(hams):
-        ref_p, ref_a = zofe_rhs(ZofeState(psi[b], aux[b]), h, terms, coupling_operators(n))
+        ref_p, ref_a = zofe_rhs(psi[b], aux[b], h, terms, coupling_operators(n))
         assert_allclose(dpsi[b, :, 0], ref_p, rtol=0, atol=1e-14)
         assert_allclose(daux[b], ref_a, rtol=0, atol=1e-14)
 
@@ -232,36 +254,52 @@ def test_lane_rhs_matches_general_rhs(n, bath):
 @pytest.mark.parametrize("n, couplings, tripping", [
     (2, (-0.425, 0.1, 0.44), -0.425),
     (7, (-1.0, 0.42, 0.44, 1.0), 0.42),
+    # -0.424 trips one grid step before -0.425, so it is between two grid
+    # points, on its refined prefix, when the other lane trips
+    (2, (-0.425, -0.424, 0.1), (-0.425, -0.424)),
 ])
 def test_lane_trace_is_bit_identical_alone_and_in_batch(n, couplings, tripping):
+    # the tripping lanes restart with a refined prefix inside the batch while
+    # the others go on; every lane, refined or not, gives the same bits alone
+    # and in any batch
     bath = LorentzianBath.from_huang_rhys(n, 0.64, 1.0, 0.25)
     cfg = PropagationConfig(dt=0.01, t_max=6.0)
     aggs = [AggregateSpec.equal_parallel(n, coupling_v=v) for v in couplings]
-    batch = propagate_zofe_lanes(aggs, bath, cfg)
+    samples, _, levels, errors, _, _ = _run_lanes(aggs, bath, cfg)
+    assert not errors
+    assert [level > 0 for level in levels] == list(np.isin(couplings, tripping))
     pair = propagate_zofe_lanes(aggs[:2], bath, cfg)
-    for v, agg, result in zip(couplings, aggs, batch):
-        if v == tripping:
-            # the tripping lane leaves the batch with the error it raises alone
-            assert isinstance(result, PropagationError)
-            with pytest.raises(PropagationError, match="dt too large") as alone:
-                propagate_zofe(agg, bath, cfg)
-            assert str(result) == str(alone.value)
-        else:
-            assert np.array_equal(result.samples, propagate_zofe(agg, bath, cfg).samples)
-    for small, big in zip(pair, batch):
-        if not isinstance(big, PropagationError):
-            assert np.array_equal(small.samples, big.samples)
+    backwards = propagate_zofe_lanes(aggs[::-1], bath, cfg)[::-1]
+    for b, agg in enumerate(aggs):
+        alone = propagate_zofe(agg, bath, cfg).samples
+        assert np.array_equal(samples[b], alone)
+        assert np.array_equal(backwards[b].samples, alone)
+        if b < 2:
+            assert np.array_equal(pair[b].samples, alone)
 
 
 @pytest.mark.parametrize("n, couplings", [(2, (-0.425, -0.2, 0.44)), (7, (0.42, 1.0))])
 def test_batched_kernel_matches_reference_rk4(n, couplings):
+    # the skewed lane clocks against one whole single-lane run per attempt
     bath = LorentzianBath.from_huang_rhys(n, 0.64, 1.0, 0.25)
     cfg = PropagationConfig(dt=0.01, t_max=6.0)
     aggs = [AggregateSpec.equal_parallel(n, coupling_v=v) for v in couplings]
-    for agg, result in zip(aggs, propagate_zofe_lanes(aggs, bath, cfg)):
-        ref = reference_trace(agg, bath, cfg)
-        if isinstance(result, PropagationError):
-            # same trip step: the message reports t = step * dt
-            assert f"at t = {ref * cfg.dt:.4g};" in str(result)
-        else:
-            assert np.max(np.abs(result.samples - ref)) <= 1e-13
+    samples, _, levels, errors, _, _ = _run_lanes(aggs, bath, cfg)
+    assert not errors and max(levels) == 1
+    for b, agg in enumerate(aggs):
+        ref, level = reference_trace(agg, bath, cfg)
+        assert levels[b] == level
+        assert np.max(np.abs(samples[b] - ref)) <= 1e-13
+
+
+def test_prefix_extension_matches_a_rerun_from_zero():
+    # V = 0.433 trips at t = 20.85, and again at t = 26.68, after its dt/2
+    # prefix: the lane resumes from the state saved where the prefix ended,
+    # which must match a whole rerun from t = 0 with the extended prefix
+    bath = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
+    cfg = PropagationConfig(dt=0.01, t_max=30.0)
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.433)
+    samples, _, levels, errors, _, _ = _run_lanes([agg], bath, cfg)
+    ref, level = reference_trace(agg, bath, cfg)
+    assert not errors and levels[0] == level == 1
+    assert np.max(np.abs(samples[0] - ref)) <= 1e-13
