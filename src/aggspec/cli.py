@@ -287,16 +287,20 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
     )
 
 
-def _format(x):
-    return f"{x:.17g}"
+# rows converted to Python floats at a time: bounded memory for long traces
+_TSV_CHUNK = 4096
 
 
-def _write_tsv(path, header, rows):
-    # space-separated column names in the comment header, tab-separated data
-    lines = ["# " + " ".join(header)]
-    for row in rows:
-        lines.append("\t".join(_format(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_tsv(path, header, columns):
+    """Space-separated column names in a comment header, then one row of
+    tab-separated 17-significant-digit numbers per index of ``columns``."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    row = "\t".join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w") as f:
+        f.write("# " + " ".join(header) + "\n")
+        for start in range(0, len(columns[0]), _TSV_CHUNK):
+            chunk = [c[start:start + _TSV_CHUNK].tolist() for c in columns]
+            f.write("".join(row.format(*values) for values in zip(*chunk)))
     return Path(path)
 
 
@@ -320,9 +324,9 @@ def _write_trace_and_spectrum(out, method, suffix, trace, cfg: ScenarioConfig):
     spectrum = absorption_from_trace(trace, cfg.eta, cfg.nu)
     return [
         _write_tsv(out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
-                   zip(trace.times, trace.samples.real, trace.samples.imag)),
+                   (trace.times, trace.samples.real, trace.samples.imag)),
         _write_tsv(out / f"spectrum_{method}{suffix}.tsv", ("nu", "A"),
-                   zip(spectrum.nu, spectrum.values)),
+                   (spectrum.nu, spectrum.values)),
     ]
 
 
@@ -375,12 +379,14 @@ def _zofe_scan_spectra(aggs, cfg: ScenarioConfig):
     return results
 
 
-def _vscan_point(agg, cfg: ScenarioConfig, spec_z):
-    """Pseudomode side of one scan point; returns (overlap or nan, error, spectra)."""
+def _vscan_point(agg, cfg: ScenarioConfig, spec_z, trace=None):
+    """Pseudomode side of one scan point, whose pseudomode ``trace`` may be
+    known already; returns (overlap or nan, error, spectra)."""
     if isinstance(spec_z, Exception):
         return float("nan"), str(spec_z), None
     try:
-        _, trace = _pm_caps_and_trace(agg, cfg)
+        if trace is None:
+            _, trace = _pm_caps_and_trace(agg, cfg)
         spec_p = absorption_from_trace(trace, cfg.eta, cfg.nu)
     except (PropagationError, TraceTailError) as exc:
         return float("nan"), str(exc), None
@@ -390,11 +396,12 @@ def _vscan_point(agg, cfg: ScenarioConfig, spec_z):
 
 def _vscan_chunk(payload):
     """A contiguous chunk of scan points: one ZOFE batch, then the pseudomode
-    side point by point.  Returns [(v, overlap or nan, error, spectra)]."""
-    cfg, v_chunk = payload
+    side point by point, reusing the pseudomode traces in ``known`` (by V).
+    Returns [(v, overlap or nan, error, spectra)]."""
+    cfg, v_chunk, known = payload
     aggs = [dataclasses.replace(cfg.aggregate, coupling_v=v) for v in v_chunk]
     spectra_z = _zofe_scan_spectra(aggs, cfg)
-    return [(v, *_vscan_point(agg, cfg, spec_z))
+    return [(v, *_vscan_point(agg, cfg, spec_z, known.get(v)))
             for v, agg, spec_z in zip(v_chunk, aggs, spectra_z)]
 
 
@@ -415,15 +422,19 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
         v_grid = np.array([v_min])
     else:
         v_grid = v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
+    known = {}  # pseudomode traces computed before the scan, by V
     if cfg.pm_caps is None:
         # Caps are certified once, at the strongest coupling visited, and
         # reused for every point so the scan is consistent and reproducible.
-        caps_agg = dataclasses.replace(
-            cfg.aggregate, coupling_v=float(v_grid[np.argmax(np.abs(v_grid))])
-        )
-        cfg = dataclasses.replace(cfg, pm_caps=_pm_caps_and_trace(caps_agg, cfg)[0])
-    chunks = np.array_split(v_grid, max(1, min(threads, v_grid.size)))
-    payloads = [(cfg, [float(v) for v in chunk]) for chunk in chunks]
+        # That point takes the trace of the rung the ladder accepted.
+        v_caps = float(v_grid[np.argmax(np.abs(v_grid))])
+        caps, known[v_caps] = _pm_caps_and_trace(
+            dataclasses.replace(cfg.aggregate, coupling_v=v_caps), cfg)
+        cfg = dataclasses.replace(cfg, pm_caps=caps)
+    payloads = []
+    for chunk in np.array_split(v_grid, max(1, min(threads, v_grid.size))):
+        v_chunk = [float(v) for v in chunk]
+        payloads.append((cfg, v_chunk, {v: known[v] for v in v_chunk if v in known}))
     if len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = [row for rows in pool.map(_vscan_chunk, payloads) for row in rows]
@@ -432,18 +443,17 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
 
     written = []
     n_failed = 0
-    rows = []
-    for v, value, error, kept in results:
-        rows.append((v, value))
+    for v, _, error, kept in results:
         if error is not None:
             n_failed += 1
             print(f"scan point V = {v:g} failed: {error}", file=sys.stderr)
         elif kept is not None:
             written.append(_write_tsv(out / f"spectrum_zofe_V{v:g}.tsv",
-                                      ("nu", "A"), zip(cfg.nu, kept[0])))
+                                      ("nu", "A"), (cfg.nu, kept[0])))
             written.append(_write_tsv(out / f"spectrum_pm_V{v:g}.tsv",
-                                      ("nu", "A"), zip(cfg.nu, kept[1])))
-    written.insert(0, _write_tsv(out / "overlap.tsv", ("V", "overlap_percent"), rows))
+                                      ("nu", "A"), (cfg.nu, kept[1])))
+    written.insert(0, _write_tsv(out / "overlap.tsv", ("V", "overlap_percent"),
+                                 [[r[0] for r in results], [r[1] for r in results]]))
     return written, n_failed
 
 
@@ -456,7 +466,7 @@ def run_converge(cfg: ScenarioConfig, out_dir):
         cfg.aggregate, dataclasses.replace(cfg, pm_caps=None)
     )
     written = [
-        _write_tsv(out / "converged_caps.tsv", ("b_tot", "b_mode"), [(b_tot, b_mode)]),
+        _write_tsv(out / "converged_caps.tsv", ("b_tot", "b_mode"), ([b_tot], [b_mode])),
         *_write_trace_and_spectrum(out, "pm", "", trace, cfg),
     ]
     print(f"converged caps: b_tot = {b_tot}, b_mode = {b_mode}")

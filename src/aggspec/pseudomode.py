@@ -19,7 +19,9 @@ dropped, and cap convergence is certified on a doubling ladder.
 The basis is one integer array of rows (n, beta), slots ordered as in
 ``BathTerms``, enumerated in lexicographic order.  Assembly takes the rows
 in any order: it finds ladder and hopping targets by their lexicographic
-rank (from the count table, so below the number of states within the caps).
+rank (from the count table, so below the number of states within the caps),
+and writes the CSR arrays of G in place: each link once in each direction,
+then a sort within each row.
 
 Because the initial bright state is real for real dipoles and G is complex
 symmetric, exp(G t) is symmetric too, so the correlation value at 2t follows
@@ -157,12 +159,14 @@ def _ranks(occupations, table, b_tot):
     n_slots = occupations.shape[1]
     ranks = np.zeros(len(occupations), dtype=np.int64)
     left = np.full(len(occupations), b_tot + 1)  # sum budget still open, + 1
+    after = np.empty_like(left)  # the budget left after slot s
     for s in range(n_slots):
         # vectors that agree before slot s and hold less in it come first
         sums = table[n_slots - 1 - s]
-        b = occupations[:, s]
-        ranks += sums[left] - sums[left - b]
-        left -= b
+        np.subtract(left, occupations[:, s], out=after)
+        ranks += sums.take(left)
+        ranks -= sums.take(after)
+        left, after = after, left
     return ranks
 
 
@@ -186,36 +190,33 @@ def enumerate_basis(
     dim = n_monomers * n_vectors
     if dim > max_states:
         raise BasisSizeError(dim, max_states)
-    # Grow the rows slot by slot: each fans out into one row per value of the
-    # next slot, in increasing order, so the rows stay lexicographic.
-    occupations = np.zeros((1, 0), dtype=np.int32)
-    for _ in range(n_slots):
-        fan = np.minimum(b_tot - occupations.sum(axis=1), b_mode) + 1
-        parent = np.repeat(np.arange(len(occupations)), fan)
-        value = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
-        occupations = np.column_stack((occupations[parent], value.astype(np.int32)))
-    monomers = np.repeat(np.arange(n_monomers, dtype=np.int32), n_vectors)
-    basis = np.column_stack((monomers, np.tile(occupations, (n_monomers, 1))))
+    table = np.array(_count_table(n_slots, b_tot, b_mode), dtype=np.int64)
+    basis = np.empty((dim, 1 + n_slots), dtype=np.int32)
+    blocks = basis.reshape(n_monomers, n_vectors, 1 + n_slots)  # a view
+    occupations = blocks[0, :, 1:]
+    # Fan the prefixes out slot by slot into one per value of the next slot,
+    # in increasing order.  In lexicographic order a prefix heads one row per
+    # completion within the budget it leaves, so its value repeats that often.
+    left = np.array([b_tot])  # sum budget each prefix leaves open
+    for s in range(n_slots):
+        fan = np.minimum(left, b_mode) + 1
+        value = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        left = np.repeat(left, fan) - value
+        completions = table[n_slots - 1 - s]
+        occupations[:, s] = np.repeat(value, completions[left + 1] - completions[left])
+    blocks[:, :, 0] = np.arange(n_monomers)[:, None]
+    blocks[1:, :, 1:] = occupations
     basis.flags.writeable = False
     return basis
 
 
-def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGenerator:
-    """Sparse generator over ``basis`` (rows (n, beta) in any order).
-
-    Ladder transitions whose target state is not in the basis are dropped
-    (hard truncation).
-    """
-    if bath.n_monomers != agg.n_monomers:
-        raise ValueError("bath must provide a term list per monomer")
-    terms = BathTerms.from_bath(bath)
-    basis = np.asarray(basis)
-    if basis.ndim != 2 or basis.shape[1] != 1 + terms.count:
-        raise ValueError("basis occupation length does not match the bath")
-    dim = len(basis)
-    monomer, occupations = basis[:, 0], basis[:, 1:]
-
+def _links(agg, terms, monomer, occupations):
+    """The off-diagonal links of G between basis rows: a list of (i, j, s),
+    rows i and j (int32, each distinct within an entry) linked by a ladder
+    step of slot s, or by a hop for s = None; each link enters G at (i, j)
+    and at (j, i)."""
     # key = n * n_vectors + rank(beta) within the caps the rows reach
+    dim = len(monomer)
     b_tot = int(occupations.sum(axis=1).max(initial=0))
     b_mode = int(occupations.max(initial=0))
     table = np.array(_count_table(terms.count, b_tot, b_mode), dtype=np.int64)
@@ -228,37 +229,77 @@ def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGen
         pos = np.minimum(np.searchsorted(sorted_keys, target_keys), dim - 1)
         return order[pos], sorted_keys[pos] == target_keys
 
-    energy = agg.epsilon[monomer]
-    damping = np.zeros(dim)
-    # each link (i, j, value) enters G at (i, j) and at (j, i)
-    link_i, link_j, link_value = [], [], []
-    for s, (owner, z, coupling) in enumerate(
-        zip(terms.monomer, terms.z, np.sqrt(terms.gamma_amp))
-    ):
-        b = occupations[:, s]
-        energy += z.imag * b
-        damping += z.real * b
+    links = []
+    for s, owner in enumerate(terms.monomer):
         # ladder: a row with beta_s > 0 on its own monomer's mode and the row
-        # one quantum lower, linked by 1j*sqrt(Gamma)*sqrt(beta_s)
-        upper = np.flatnonzero((monomer == owner) & (b > 0))
+        # one quantum lower
+        upper = np.flatnonzero((monomer == owner) & (occupations[:, s] > 0))
         lowered = occupations[upper]
         lowered[:, s] -= 1
         lower, found = find(monomer[upper] * n_vectors + _ranks(lowered, table, b_tot))
-        link_i.append(upper[found])
-        link_j.append(lower[found])
-        link_value.append(1j * coupling * np.sqrt(b[upper[found]]))
+        links.append((upper[found].astype(np.int32), lower[found].astype(np.int32), s))
     if agg.coupling_v != 0.0:
         # (n, beta) to (n + 1, beta); no row has monomer N, so the end drops out
         right, found = find(keys + n_vectors)
-        link_i.append(np.flatnonzero(found))
-        link_j.append(right[found])
-        link_value.append(np.full(found.sum(), -1j * agg.coupling_v))
-    diagonal = [np.arange(dim)]
-    matrix = scipy.sparse.coo_matrix(
-        (np.concatenate([-1j * energy - damping, *link_value, *link_value]),
-         (np.concatenate(diagonal + link_i + link_j), np.concatenate(diagonal + link_j + link_i))),
-        shape=(dim, dim),
-    ).tocsr()
+        links.append((np.flatnonzero(found).astype(np.int32), right[found].astype(np.int32), None))
+    return links
+
+
+def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGenerator:
+    """Sparse generator over ``basis`` (distinct rows (n, beta) in any order).
+
+    Ladder transitions whose target state is not in the basis are dropped
+    (hard truncation).  The CSR arrays are written in place: the diagonal
+    and each link once in each direction, then sorted within each row.
+    """
+    if bath.n_monomers != agg.n_monomers:
+        raise ValueError("bath must provide a term list per monomer")
+    terms = BathTerms.from_bath(bath)
+    basis = np.asarray(basis)
+    if basis.ndim != 2 or basis.shape[1] != 1 + terms.count:
+        raise ValueError("basis occupation length does not match the bath")
+    dim = len(basis)
+    monomer, occupations = basis[:, 0], basis[:, 1:]
+    links = _links(agg, terms, monomer, occupations)
+
+    energy, damping = agg.epsilon[monomer], np.zeros(dim)
+    for z, b in zip(terms.z, occupations.T):
+        energy += z.imag * b
+        damping += z.real * b
+    diagonal = -1j * energy
+    diagonal -= damping
+    del energy, damping
+
+    # a ladder link changes one slot and a hop the monomer, so no (i, j)
+    # occurs twice and each row holds its diagonal plus one entry per link end
+    counts = np.ones(dim, dtype=np.int32)
+    for i, j, _ in links:
+        counts[i] += 1
+        counts[j] += 1
+    nnz = int(counts.sum(dtype=np.int64))
+    index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=complex)
+    fill = indptr[:-1].copy()  # next free position in each row
+    indices[fill] = np.arange(dim, dtype=index)
+    data[fill] = diagonal
+    del diagonal
+    fill += 1
+    couplings = np.sqrt(terms.gamma_amp)
+    for i, j, s in links:
+        # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of its
+        # upper row i; a hop -1j*V
+        value = -1j * agg.coupling_v if s is None else \
+            1j * couplings[s] * np.sqrt(occupations[i, s])
+        for row, col in ((i, j), (j, i)):
+            at = fill[row]
+            indices[at] = col
+            data[at] = value
+            fill[row] += 1
+    matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    matrix.sort_indices()
     return PmGenerator(matrix=matrix, basis=basis)
 
 
@@ -449,7 +490,9 @@ def krylov_correlation(
     a Ritz value with weight.
     """
     generator, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
-    return _lanczos_trace(generator.matrix, psi0_embedded, config, mu_tot_sq)
+    matrix = generator.matrix
+    del generator  # the recursion reads only the matrix, so the basis goes
+    return _lanczos_trace(matrix, psi0_embedded, config, mu_tot_sq)
 
 
 @_one_blas_thread()
@@ -465,7 +508,8 @@ def _lanczos_trace(matrix, psi0, config: PropagationConfig, mu_tot_sq):
     norm_sq = float(psi0.real @ psi0.real)
     scale = mu_tot_sq * norm_sq
     alpha, beta = [], []  # diagonal and off-diagonal of T
-    v_prev, v = np.zeros_like(psi0), psi0 / np.sqrt(norm_sq)
+    v_prev, v = None, psi0 / np.sqrt(norm_sq)
+    scaled = np.empty_like(v)  # the buffer of every scalar multiple of a vector
     exact = False
     previous = None
     for depth in _KRYLOV_DEPTHS:
@@ -473,9 +517,9 @@ def _lanczos_trace(matrix, psi0, config: PropagationConfig, mu_tot_sq):
             w = matrix @ v
             size = np.linalg.norm(w)
             if beta:
-                w -= beta[-1] * v_prev
+                w -= np.multiply(beta[-1], v_prev, out=scaled)
             alpha.append(v @ w)
-            w -= alpha[-1] * v
+            w -= np.multiply(alpha[-1], v, out=scaled)
             residual = np.linalg.norm(w)
             if residual <= _LUCKY_TOL * size:
                 exact = True  # the vectors so far span an invariant subspace
@@ -486,7 +530,8 @@ def _lanczos_trace(matrix, psi0, config: PropagationConfig, mu_tot_sq):
                     f"serious breakdown of the Lanczos recursion at depth {len(alpha)}"
                 )
             beta.append(np.sqrt(ww))
-            v_prev, v = v, w / beta[-1]
+            w /= beta[-1]
+            v_prev, v = v, w
         samples = _ritz_trace(alpha, beta, spacing, n_samples, scale)
         if exact or (previous is not None
                      and np.abs(samples - previous).max() <= _KRYLOV_TOL * mu_tot_sq):
@@ -510,6 +555,7 @@ def _ritz_trace(alpha, beta, spacing, n_samples, scale):
     e1 = np.zeros(m)
     e1[0] = 1.0
     weights = vectors[0] * np.linalg.solve(vectors, e1)
+    del vectors
     # a Ritz value with Re > 0 lies outside the numerical range of G: a ghost
     kept = lam.real <= _GHOST_RE * np.abs(lam).max()
     lam, weights = lam[kept], scale * weights[kept]
@@ -522,7 +568,8 @@ def _ritz_trace(alpha, beta, spacing, n_samples, scale):
         )
     # exp(lam (k B + b) spacing) = exp(lam b spacing) exp(lam B spacing)^k:
     # one table for b < B, and the weights advance by one factor per block
-    table = np.exp(np.outer(spacing * np.arange(min(_BLOCK, n_samples)), lam))
+    table = np.outer(spacing * np.arange(min(_BLOCK, n_samples)), lam)
+    np.exp(table, out=table)
     advance = np.exp((_BLOCK * spacing) * lam)
     samples = np.empty(n_samples, dtype=complex)
     for start in range(0, n_samples, _BLOCK):

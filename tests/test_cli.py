@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from aggspec import pseudomode
+from aggspec import cli
 from aggspec.cli import (
+    _TSV_CHUNK,
     ConfigError,
+    _write_tsv,
     _zofe_scan_spectra,
     load_scenario,
     main,
@@ -360,6 +363,62 @@ pm_tolerance = 1e-3
     for name in ("trace_pm.tsv", "spectrum_pm.tsv"):
         assert (tmp_path / "spectrum" / name).read_bytes() == \
             (tmp_path / "converge" / name).read_bytes()
+
+
+def test_vscan_auto_caps_reuses_the_ladder_trace(tmp_path, monkeypatch):
+    # the ladder certifies caps 8 at V = -0.4 (rungs 1, 2, 4, 8, 16); that
+    # point takes the accepted rung's trace, shipped to whichever chunk holds
+    # it, so only V = 0 and 0.4 compute a trace of their own
+    text = """
+[aggregate]
+n_monomers = 3
+epsilon = 0 0 0
+
+[bath]
+huang_rhys = 0.64
+omega = 1.0
+gamma = 0.25
+
+[run]
+method = both
+dt = 0.01
+t_max = 40
+eta = 0.25
+pm_caps = auto
+
+[scan]
+v_min = -0.4
+v_max = 0.4
+v_steps = 3
+"""
+    cfg = load_scenario(write_cfg(tmp_path, text))
+    assert run_vscan(cfg, tmp_path / "2", threads=2)[1] == 0
+    calls = []
+    original = pseudomode.krylov_correlation
+
+    def counted(agg, bath, config, caps, **kwargs):
+        calls.append((agg.coupling_v, caps))
+        return original(agg, bath, config, caps=caps, **kwargs)
+
+    for module in (pseudomode, cli):
+        monkeypatch.setattr(module, "krylov_correlation", counted)
+    assert run_vscan(cfg, tmp_path / "1", threads=1)[1] == 0
+    assert calls == [(-0.4, cap) for cap in (1, 2, 4, 8, 16)] + [(0.0, (8, 8)), (0.4, (8, 8))]
+    assert (tmp_path / "1" / "overlap.tsv").read_bytes() == \
+        (tmp_path / "2" / "overlap.tsv").read_bytes()
+
+
+def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
+    # rows are converted a chunk at a time; the bytes are those of formatting
+    # every value on its own, across chunk boundaries and for non-finite values
+    x = np.linspace(-3.0, 7.0, 2 * _TSV_CHUNK + 5)
+    y = np.exp(x) * np.sin(7 * x)
+    y[[0, _TSV_CHUNK - 1, _TSV_CHUNK, -1]] = [np.nan, np.inf, -0.0, -np.inf]
+    path = _write_tsv(tmp_path / "out.tsv", ("x", "y"), (x, y))
+    expected = "# x y\n" + "".join(f"{a:.17g}\t{b:.17g}\n" for a, b in zip(x, y))
+    assert path.read_text() == expected
+    assert _write_tsv(tmp_path / "caps.tsv", ("b_tot", "b_mode"), ([8], [4])).read_text() \
+        == "# b_tot b_mode\n8\t4\n"
 
 
 def test_main_exit_codes(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -195,29 +196,39 @@ def test_monomer_matches_cumulant_oracle():
     assert np.max(np.abs(trace.samples - oracle.samples[:n])) <= 1e-4
 
 
-def dense_reference(agg, bath, basis):
-    """Dense G entry by entry over a dict index, following the module docstring."""
+def reference_entries(agg, bath, basis):
+    """(rows, cols, values) of G entry by entry over a dict index, following
+    the module docstring; every diagonal entry is present, even a zero."""
     slots = [(n, term) for n, terms in enumerate(bath.terms) for term in terms]
     states = [(row[0], tuple(row[1:])) for row in basis.tolist()]
     index = {state: i for i, state in enumerate(states)}
-    g = np.zeros((len(states), len(states)), dtype=complex)
+    entries = []
     for i, (n, beta) in enumerate(states):
         energy, damping = agg.epsilon[n], 0.0
         for (_, (_, center, width)), b in zip(slots, beta):
             energy += center * b
             damping += width * b
-        g[i, i] = -1j * energy - damping
+        entries.append((i, i, -1j * energy - damping))
         for s, (owner, (gamma_amp, _, _)) in enumerate(slots):
             if owner != n:
                 continue
             for b in (beta[s] - 1, beta[s] + 1):
                 j = index.get((n, beta[:s] + (b,) + beta[s + 1:]))
                 if j is not None:
-                    g[i, j] = 1j * math.sqrt(gamma_amp) * math.sqrt(max(b, beta[s]))
+                    entries.append((i, j, 1j * math.sqrt(gamma_amp) * math.sqrt(max(b, beta[s]))))
         for m in (n - 1, n + 1):
             j = index.get((m, beta))
-            if j is not None:
-                g[i, j] = -1j * agg.coupling_v
+            if j is not None and agg.coupling_v != 0.0:
+                entries.append((i, j, -1j * agg.coupling_v))
+    rows, cols, values = zip(*entries)
+    return np.array(rows), np.array(cols), np.array(values)
+
+
+def dense_reference(agg, bath, basis):
+    """Dense G from ``reference_entries``."""
+    rows, cols, values = reference_entries(agg, bath, basis)
+    g = np.zeros((len(basis), len(basis)), dtype=complex)
+    g[rows, cols] = values
     return g
 
 
@@ -243,18 +254,22 @@ def test_generator_matches_dense_reference(agg, bath, caps):
 
 
 @st.composite
-def shuffled_problems(draw):
-    """A small aggregate and bath, its basis, a row permutation and a psi0."""
+def shuffled_problems(draw, max_terms=2, max_caps=3):
+    """A small aggregate (V = 0 or not) and bath (up to ``max_terms`` per
+    monomer), its basis within caps up to ``max_caps``, a row permutation and
+    a psi0."""
     n = draw(st.integers(1, 3))
     real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
     term = st.tuples(real(0.01, 2.0), real(-2.0, 2.0), real(0.0, 1.0))
-    terms = draw(st.lists(st.lists(term, max_size=2), min_size=n, max_size=n))
+    terms = draw(st.lists(st.lists(term, max_size=max_terms), min_size=n, max_size=n))
     agg = AggregateSpec.equal_parallel(
-        n, draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)), draw(real(-1.0, 1.0))
+        n, draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)),
+        draw(st.one_of(st.just(0.0), real(-1.0, 1.0))),
     )
     bath = LorentzianBath(tuple(tuple(t) for t in terms))
     basis = enumerate_basis(
-        n, [len(t) for t in terms], draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        n, [len(t) for t in terms],
+        draw(st.integers(0, max_caps)), draw(st.integers(0, max_caps)),
     )
     perm = np.array(draw(st.permutations(range(len(basis)))))
     psi0 = np.array(draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)))
@@ -273,6 +288,48 @@ def test_basis_ordering_invariance(problem):
     assert np.array_equal(
         embed_initial_state(basis[perm], psi0), embed_initial_state(basis, psi0)[perm]
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shuffled_problems(max_terms=3, max_caps=4))
+def test_in_place_csr_equals_coo_reference(problem):
+    # the CSR written in place holds the arrays scipy's COO -> CSR conversion
+    # gives for the same entries, in canonical format
+    agg, bath, basis, perm, _ = problem
+    basis = basis[perm]
+    matrix = assemble_generator(agg, bath, basis).matrix
+    rows, cols, values = reference_entries(agg, bath, basis)
+    reference = scipy.sparse.coo_matrix((values, (rows, cols)), shape=matrix.shape).tocsr()
+    assert matrix.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(matrix, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+
+
+def traced_peak(build):
+    """(result of ``build()``, peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumeration_peak_memory_stays_near_the_basis():
+    # six-term dimer at caps 6: 37,128 rows; the rows are written into one
+    # array, without fanned-out or tiled copies of it
+    basis, peak = traced_peak(lambda: enumerate_basis(2, [6, 6], 6, 6))
+    assert len(basis) == 37128
+    assert peak <= 1.75 * basis.nbytes
+
+
+def test_assembly_peak_memory_stays_near_the_csr():
+    # the CSR arrays are written once, without COO copies of the entries
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    basis = enumerate_basis(2, [6, 6], 6, 6)
+    generator, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), basis))
+    csr = generator.matrix
+    assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 def test_default_caps_heuristic():
@@ -401,6 +458,21 @@ def small_problems(draw):
 def test_krylov_matches_rk4_property(problem):
     agg, bath, caps = problem
     assert_krylov_matches_rk4(agg, bath, PropagationConfig(dt=0.01, t_max=20.0), caps)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_problems())
+def test_doubling_identity_property(problem):
+    # psi(t)^T psi(t) = psi0^T R^(2k) psi0 for the (symmetric) RK4 propagator
+    # R, so the doubled trace is the direct one at t = 2k dt up to rounding
+    agg, bath, caps = problem
+    cfg = PropagationConfig(dt=0.01, t_max=5.0)
+    generator, psi0, mu_tot_sq = pseudomode._generator_and_state(
+        agg, bath, caps, pseudomode.DEFAULT_MAX_STATES)
+    doubled = propagate_pm(generator, psi0, cfg, mu_tot_sq, doubling=True)
+    direct = propagate_pm(generator, psi0, cfg, mu_tot_sq, doubling=False)
+    assert doubled.dt == 2 * direct.dt
+    assert np.max(np.abs(doubled.samples - direct.samples[::2])) <= 1e-12 * mu_tot_sq
 
 
 def test_krylov_depth_ladder_matches_a_deeper_recursion(monkeypatch):
