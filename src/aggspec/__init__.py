@@ -28,10 +28,8 @@ from .propagation import PropagationConfig, PropagationError, default_time_step
 from .pseudomode import (
     BasisSizeError,
     CapConvergenceError,
-    PmGenerator,
     assemble_generator,
     converge_caps,
-    default_caps,
     embed_initial_state,
     enumerate_basis,
     krylov_correlation,

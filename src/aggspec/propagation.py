@@ -1,8 +1,10 @@
-"""Shared fixed-step propagation settings for both solvers.
+"""Shared time grid of both solvers.
 
-Both solvers use the same classical fourth-order Runge-Kutta scheme with a
-fixed step so that traces are reproducible bit for bit and directly
-comparable between methods.
+ZOFE steps the grid with classical fourth-order Runge-Kutta, at a finer
+step only over the start of a lane whose norm guard trips.  The pseudomode
+solver samples its Lanczos trace on the grid (spacing 2*dt), with RK4
+(``pm_correlation``) as its reference.  Traces on one grid are directly
+comparable between methods and reproducible bit for bit.
 """
 
 from __future__ import annotations

@@ -16,12 +16,14 @@ is very sparse; matrix-vector products are the only operation needed.
 Truncation is hard: ladder transitions leaving the enumerated set are
 dropped, and cap convergence is certified on a doubling ladder.
 
-The basis is one integer array of rows (n, beta), slots ordered as in
-``BathTerms``, enumerated in lexicographic order.  Assembly takes the rows
-in any order: it finds ladder and hopping targets by their lexicographic
-rank (from the count table, so below the number of states within the caps),
-and writes the CSR arrays of G in place: each link once in each direction,
-then a sort within each row.
+The basis is one block of occupation vectors beta, slots ordered as in
+``BathTerms``, in lexicographic order; state (n, beta) is index
+n * n_vectors + rank(beta), so every electronic state n owns one copy of the
+block.  Assembly finds its targets by index: a hop is i -> i + n_vectors,
+and a ladder step of slot s lowers beta_s within the block of the slot's own
+monomer, to the row given by the lexicographic rank of beta - e_s (from the
+count table).  The CSR arrays of G are written in place: the diagonal and
+each link once in each direction, then a sort within each row.
 
 Because the initial bright state is real for real dipoles and G is complex
 symmetric, exp(G t) is symmetric too, so the correlation value at 2t follows
@@ -47,10 +49,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-from dataclasses import dataclass
 import functools
 import itertools
-import math
 
 import numpy as np
 import scipy.sparse
@@ -59,14 +59,12 @@ from .model import (
     AggregateSpec,
     BathTerms,
     LorentzianBath,
-    gamma_to_huang_rhys,
     initial_bright_state,
 )
 from .propagation import PropagationConfig, PropagationError
 from .spectra import CorrelationTrace, absorption_from_trace, overlap
 
 __all__ = [
-    "PmGenerator",
     "BasisSizeError",
     "CapConvergenceError",
     "count_occupation_vectors",
@@ -76,7 +74,6 @@ __all__ = [
     "propagate_pm",
     "pm_correlation",
     "krylov_correlation",
-    "default_caps",
     "converge_caps",
     "default_nu_grid",
 ]
@@ -98,6 +95,8 @@ _GHOST_RE = 1e-12
 _ALIAS_WEIGHT = 1e-6
 # samples evaluated per block of exp(t lambda)
 _BLOCK = 256
+# step of default_nu_grid
+_NU_STEP = 0.01
 
 
 class BasisSizeError(PropagationError):
@@ -117,18 +116,6 @@ class CapConvergenceError(PropagationError):
     def __init__(self, message, overlaps):
         self.overlaps = tuple(overlaps)
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class PmGenerator:
-    """Sparse generator G (CSR; matvec only) over its (dim, 1 + n_slots) basis."""
-
-    matrix: scipy.sparse.csr_matrix
-    basis: np.ndarray
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 def _count_table(n_slots, b_tot, b_mode):
@@ -177,13 +164,14 @@ def enumerate_basis(
     b_mode: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> np.ndarray:
-    """Ordered basis: every (n, beta) within the caps, exactly once.
+    """The occupation block: every beta within the caps, exactly once.
 
-    Returns a read-only int32 array of shape (dim, 1 + n_slots), one row
-    (n, beta) per state, in lexicographic order.  ``beta`` runs over all
-    modes of all monomers (n_slots = sum(modes_per_monomer)); sum(beta) <=
-    b_tot and each entry <= b_mode.  Raises BasisSizeError with the
-    projected dimension if it would exceed ``max_states``.
+    Returns a read-only int32 array of shape (n_vectors, n_slots), one
+    occupation vector per row in lexicographic order; basis state (n, row k)
+    has index n * n_vectors + k.  ``beta`` runs over all modes of all
+    monomers (n_slots = sum(modes_per_monomer)); sum(beta) <= b_tot and each
+    entry <= b_mode.  Raises BasisSizeError with the projected dimension
+    n_monomers * n_vectors if it would exceed ``max_states``.
     """
     n_slots = int(sum(modes_per_monomer))
     n_vectors = count_occupation_vectors(n_slots, b_tot, b_mode)
@@ -191,84 +179,62 @@ def enumerate_basis(
     if dim > max_states:
         raise BasisSizeError(dim, max_states)
     table = np.array(_count_table(n_slots, b_tot, b_mode), dtype=np.int64)
-    basis = np.empty((dim, 1 + n_slots), dtype=np.int32)
-    blocks = basis.reshape(n_monomers, n_vectors, 1 + n_slots)  # a view
-    occupations = blocks[0, :, 1:]
+    occupations = np.empty((n_vectors, n_slots), dtype=np.int32)
     # Fan the prefixes out slot by slot into one per value of the next slot,
     # in increasing order.  In lexicographic order a prefix heads one row per
     # completion within the budget it leaves, so its value repeats that often.
-    left = np.array([b_tot])  # sum budget each prefix leaves open
+    completions = np.diff(table, axis=1)  # [k, r]: vectors over k slots within budget r
+    left = np.array([b_tot], dtype=np.int32)  # sum budget each prefix leaves open
     for s in range(n_slots):
         fan = np.minimum(left, b_mode) + 1
-        value = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
-        left = np.repeat(left, fan) - value
-        completions = table[n_slots - 1 - s]
-        occupations[:, s] = np.repeat(value, completions[left + 1] - completions[left])
-    blocks[:, :, 0] = np.arange(n_monomers)[:, None]
-    blocks[1:, :, 1:] = occupations
-    basis.flags.writeable = False
-    return basis
+        value = np.arange(fan.sum(), dtype=np.int32)
+        value -= np.repeat(np.cumsum(fan, dtype=np.int32) - fan, fan)
+        left = np.repeat(left, fan)
+        left -= value
+        occupations[:, s] = np.repeat(value, completions[n_slots - 1 - s, left])
+    occupations.flags.writeable = False
+    return occupations
 
 
-def _links(agg, terms, monomer, occupations):
-    """The off-diagonal links of G between basis rows: a list of (i, j, s),
-    rows i and j (int32, each distinct within an entry) linked by a ladder
-    step of slot s, or by a hop for s = None; each link enters G at (i, j)
-    and at (j, i)."""
-    # key = n * n_vectors + rank(beta) within the caps the rows reach
-    dim = len(monomer)
-    b_tot = int(occupations.sum(axis=1).max(initial=0))
-    b_mode = int(occupations.max(initial=0))
-    table = np.array(_count_table(terms.count, b_tot, b_mode), dtype=np.int64)
-    n_vectors = table[-1, -1] - table[-1, -2]
-    keys = monomer * n_vectors + _ranks(occupations, table, b_tot)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
+def assemble_generator(
+    agg: AggregateSpec, bath: LorentzianBath, occupations, b_tot: int, b_mode: int
+) -> scipy.sparse.csr_matrix:
+    """Sparse generator G (CSR; matvec only) over the basis of
+    ``occupations``, the block ``enumerate_basis`` returns at caps (b_tot,
+    b_mode): state (n, row k) is index n * n_vectors + k.
 
-    def find(target_keys):
-        pos = np.minimum(np.searchsorted(sorted_keys, target_keys), dim - 1)
-        return order[pos], sorted_keys[pos] == target_keys
-
-    links = []
-    for s, owner in enumerate(terms.monomer):
-        # ladder: a row with beta_s > 0 on its own monomer's mode and the row
-        # one quantum lower
-        upper = np.flatnonzero((monomer == owner) & (occupations[:, s] > 0))
-        lowered = occupations[upper]
-        lowered[:, s] -= 1
-        lower, found = find(monomer[upper] * n_vectors + _ranks(lowered, table, b_tot))
-        links.append((upper[found].astype(np.int32), lower[found].astype(np.int32), s))
-    if agg.coupling_v != 0.0:
-        # (n, beta) to (n + 1, beta); no row has monomer N, so the end drops out
-        right, found = find(keys + n_vectors)
-        links.append((np.flatnonzero(found).astype(np.int32), right[found].astype(np.int32), None))
-    return links
-
-
-def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGenerator:
-    """Sparse generator over ``basis`` (distinct rows (n, beta) in any order).
-
-    Ladder transitions whose target state is not in the basis are dropped
-    (hard truncation).  The CSR arrays are written in place: the diagonal
-    and each link once in each direction, then sorted within each row.
+    Ladder transitions that leave the caps are dropped (hard truncation).
+    The CSR arrays are written in place: the diagonal and each link once in
+    each direction, then sorted within each row.
     """
     if bath.n_monomers != agg.n_monomers:
         raise ValueError("bath must provide a term list per monomer")
     terms = BathTerms.from_bath(bath)
-    basis = np.asarray(basis)
-    if basis.ndim != 2 or basis.shape[1] != 1 + terms.count:
-        raise ValueError("basis occupation length does not match the bath")
-    dim = len(basis)
-    monomer, occupations = basis[:, 0], basis[:, 1:]
-    links = _links(agg, terms, monomer, occupations)
+    occupations = np.asarray(occupations)
+    n_vectors = count_occupation_vectors(terms.count, b_tot, b_mode)
+    if occupations.shape != (n_vectors, terms.count):
+        raise ValueError(
+            f"occupation block of shape {occupations.shape} does not match the "
+            f"bath and caps ({b_tot}, {b_mode}): expected ({n_vectors}, {terms.count})"
+        )
+    table = np.array(_count_table(terms.count, b_tot, b_mode), dtype=np.int64)
+    dim = agg.n_monomers * n_vectors
 
-    energy, damping = agg.epsilon[monomer], np.zeros(dim)
-    for z, b in zip(terms.z, occupations.T):
-        energy += z.imag * b
-        damping += z.real * b
-    diagonal = -1j * energy
-    diagonal -= damping
-    del energy, damping
+    # The off-diagonal links (i, j, s), each entering G at (i, j) and (j, i).
+    # A ladder step of slot s joins row k with beta_s > 0, in the block of the
+    # slot's own monomer, to the row of beta - e_s in that block; a hop, s =
+    # None, joins (n, k) to (n + 1, k).
+    links = []
+    for s, owner in enumerate(terms.monomer):
+        upper = np.flatnonzero(occupations[:, s] > 0)
+        lowered = occupations[upper]
+        lowered[:, s] -= 1
+        offset = owner * n_vectors
+        links.append(((upper + offset).astype(np.int32),
+                      (_ranks(lowered, table, b_tot) + offset).astype(np.int32), s))
+    if agg.coupling_v != 0.0:
+        hop = np.arange(dim - n_vectors, dtype=np.int32)
+        links.append((hop, hop + n_vectors, None))
 
     # a ladder link changes one slot and a hop the monomer, so no (i, j)
     # occurs twice and each row holds its diagonal plus one entry per link end
@@ -283,16 +249,28 @@ def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGen
     indices = np.empty(nnz, dtype=index)
     data = np.empty(nnz, dtype=complex)
     fill = indptr[:-1].copy()  # next free position in each row
-    indices[fill] = np.arange(dim, dtype=index)
-    data[fill] = diagonal
-    del diagonal
+
+    # the diagonal, one block at a time: eps_n plus the occupation sums
+    damping = np.zeros(n_vectors)
+    for z, b in zip(terms.z, occupations.T):
+        damping += z.real * b
+    for n, eps in enumerate(agg.epsilon):
+        at = fill[n * n_vectors:(n + 1) * n_vectors]
+        indices[at] = np.arange(n * n_vectors, (n + 1) * n_vectors, dtype=index)
+        energy = np.full(n_vectors, eps)
+        for z, b in zip(terms.z, occupations.T):
+            energy += z.imag * b
+        diagonal = -1j * energy
+        diagonal -= damping
+        data[at] = diagonal
+    del damping, energy, diagonal
     fill += 1
     couplings = np.sqrt(terms.gamma_amp)
     for i, j, s in links:
         # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of its
         # upper row i; a hop -1j*V
         value = -1j * agg.coupling_v if s is None else \
-            1j * couplings[s] * np.sqrt(occupations[i, s])
+            1j * couplings[s] * np.sqrt(occupations[i % n_vectors, s])
         for row, col in ((i, j), (j, i)):
             at = fill[row]
             indices[at] = col
@@ -300,15 +278,15 @@ def assemble_generator(agg: AggregateSpec, bath: LorentzianBath, basis) -> PmGen
             fill[row] += 1
     matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
     matrix.sort_indices()
-    return PmGenerator(matrix=matrix, basis=basis)
+    return matrix
 
 
-def embed_initial_state(basis, psi0) -> np.ndarray:
-    """Bright electronic state tensored with all-modes-in-vacuum."""
-    basis = np.asarray(basis)
-    out = np.zeros(len(basis), dtype=complex)
-    vacuum = ~basis[:, 1:].any(axis=1)
-    out[vacuum] = np.asarray(psi0)[basis[vacuum, 0]]
+def embed_initial_state(psi0, n_vectors: int) -> np.ndarray:
+    """Bright electronic state tensored with all-modes-in-vacuum: psi0[n] at
+    index n * n_vectors, the vacuum being row 0 of the occupation block."""
+    psi0 = np.asarray(psi0)
+    out = np.zeros(len(psi0) * n_vectors, dtype=complex)
+    out[::n_vectors] = psi0
     return out
 
 
@@ -321,13 +299,13 @@ def _rk4_step(matrix, psi, dt):
 
 
 def propagate_pm(
-    generator: PmGenerator,
+    matrix: scipy.sparse.csr_matrix,
     psi0_embedded: np.ndarray,
     config: PropagationConfig,
     mu_tot_sq: float = 1.0,
     doubling: bool = True,
 ) -> CorrelationTrace:
-    """Correlation trace from the sparse generator.
+    """Correlation trace from the sparse generator ``matrix``.
 
     With ``doubling`` (default), the state is propagated to t_max/2 with step
     dt and M(2*t_k) = mu_tot^2 * psi(t_k)^T psi(t_k) is recorded, so the
@@ -337,9 +315,8 @@ def propagate_pm(
     M(t_k) = mu_tot^2 <psi0|psi(t_k)> on spacing dt.
     """
     psi0_embedded = np.asarray(psi0_embedded, dtype=complex)
-    if psi0_embedded.shape != (generator.dim,):
+    if psi0_embedded.shape != (matrix.shape[0],):
         raise ValueError("initial state does not match the generator dimension")
-    matrix = generator.matrix
     dt = config.dt
     if doubling:
         if np.any(psi0_embedded.imag != 0.0):
@@ -375,55 +352,34 @@ def _checked_trace(dt, samples, mu_tot_sq):
     return CorrelationTrace(dt=dt, samples=samples, mu_tot_sq=mu_tot_sq)
 
 
-def default_caps(bath: LorentzianBath) -> int:
-    """Occupation cap heuristic, ceil(4 + 6 * max Huang-Rhys factor).
-
-    A Poisson-tail estimate; converge_caps certifies or replaces it.  Baths
-    with a zero-frequency mode have no Huang-Rhys factor and need explicit
-    caps.
-    """
-    max_x = 0.0
-    for monomer_terms in bath.terms:
-        for gamma_amp, center, width in monomer_terms:
-            if center <= 0.0:
-                raise ValueError(
-                    "no cap heuristic for modes at non-positive frequency; "
-                    "pass caps explicitly"
-                )
-            max_x = max(max_x, gamma_to_huang_rhys(gamma_amp, center))
-    return math.ceil(4.0 + 6.0 * max_x)
-
-
 def _generator_and_state(agg, bath, caps, max_states):
-    """(generator, embedded bright state, mu_tot^2) at ``caps``: (b_tot,
-    b_mode), a single int for both, or None for the default heuristic."""
-    if caps is None:
-        caps = default_caps(bath)
+    """(G as CSR, embedded bright state, mu_tot^2) at ``caps``: (b_tot,
+    b_mode) or a single int for both."""
     b_tot, b_mode = (caps, caps) if isinstance(caps, (int, np.integer)) else caps
     modes = [len(t) for t in bath.terms]
-    basis = enumerate_basis(agg.n_monomers, modes, b_tot, b_mode, max_states)
-    generator = assemble_generator(agg, bath, basis)
+    occupations = enumerate_basis(agg.n_monomers, modes, b_tot, b_mode, max_states)
+    matrix = assemble_generator(agg, bath, occupations, b_tot, b_mode)
     psi0, mu_tot = initial_bright_state(agg)
-    return generator, embed_initial_state(basis, psi0), mu_tot**2
+    return matrix, embed_initial_state(psi0, len(occupations)), mu_tot**2
 
 
 def pm_correlation(
     agg: AggregateSpec,
     bath: LorentzianBath,
     config: PropagationConfig,
-    caps=None,
+    caps,
     doubling: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> CorrelationTrace:
     """Convenience wrapper: enumerate, assemble, embed and propagate (RK4).
 
-    ``caps`` is (b_tot, b_mode), a single int for both, or None for the
-    default heuristic.  The bright state is real (AggregateSpec stores real
-    dipoles), so the default ``doubling`` always applies.
+    ``caps`` is (b_tot, b_mode) or a single int for both.  The bright state
+    is real (AggregateSpec stores real dipoles), so the default ``doubling``
+    always applies.
     """
-    generator, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
+    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
     return propagate_pm(
-        generator, psi0_embedded, config, mu_tot_sq=mu_tot_sq, doubling=doubling
+        matrix, psi0_embedded, config, mu_tot_sq=mu_tot_sq, doubling=doubling
     )
 
 
@@ -477,7 +433,7 @@ def krylov_correlation(
     agg: AggregateSpec,
     bath: LorentzianBath,
     config: PropagationConfig,
-    caps=None,
+    caps,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> CorrelationTrace:
     """The trace of ``pm_correlation`` from a complex-symmetric Lanczos
@@ -489,9 +445,7 @@ def krylov_correlation(
     converges, if the trace grows above M(0) = mu_tot^2, or if 2*dt aliases
     a Ritz value with weight.
     """
-    generator, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
-    matrix = generator.matrix
-    del generator  # the recursion reads only the matrix, so the basis goes
+    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
     return _lanczos_trace(matrix, psi0_embedded, config, mu_tot_sq)
 
 
@@ -642,8 +596,9 @@ def converge_caps(
         prev = (cap, trace, spectrum)
 
 
-def default_nu_grid(agg: AggregateSpec, bath: LorentzianBath, step: float = 0.01):
-    """Frequency grid generously covering the aggregate absorption support."""
+def default_nu_grid(agg: AggregateSpec, bath: LorentzianBath):
+    """Frequency grid of step 0.01 generously covering the aggregate
+    absorption support."""
     eps_lo = float(np.min(agg.epsilon))
     eps_hi = float(np.max(agg.epsilon))
     v = abs(agg.coupling_v)
@@ -656,5 +611,5 @@ def default_nu_grid(agg: AggregateSpec, bath: LorentzianBath, step: float = 0.01
             max_center = max(max_center, center)
     lo = eps_lo - 2.0 * v - reorg - 2.0
     hi = eps_hi + 2.0 * v + 3.0 * reorg + 3.0 * max_center + 2.0
-    n = int(np.floor((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+    n = int(np.floor((hi - lo) / _NU_STEP)) + 1
+    return lo + _NU_STEP * np.arange(n)

@@ -80,8 +80,6 @@ class Spectrum:
 
     nu: np.ndarray
     values: np.ndarray
-    method: str = ""
-    eta: float = 0.0
 
     def __post_init__(self):
         nu = np.asarray(self.nu, dtype=float)
@@ -184,7 +182,7 @@ def absorption_from_trace(trace: CorrelationTrace, eta: float, nu) -> Spectrum:
     coeff *= np.exp(1j * (nu[0] * trace.dt) * np.arange(t.size))
     d_nu = (nu[-1] - nu[0]) / max(nu.size - 1, 1)
     values = _chirp_sum(coeff, d_nu * trace.dt, nu.size).real
-    return Spectrum(nu=nu, values=values, eta=eta)
+    return Spectrum(nu=nu, values=values)
 
 
 def mean_shift(spec: Spectrum):

@@ -19,7 +19,6 @@ from aggspec.pseudomode import (
     assemble_generator,
     converge_caps,
     count_occupation_vectors,
-    default_caps,
     default_nu_grid,
     embed_initial_state,
     enumerate_basis,
@@ -50,8 +49,14 @@ def six_term_bath(n_monomers):
     )
 
 
-def rows(basis):
-    return [tuple(row) for row in basis.tolist()]
+def rows(block):
+    return [tuple(row) for row in block.tolist()]
+
+
+def build(agg, bath, b_tot, b_mode):
+    """(occupation block, G) at caps (b_tot, b_mode)."""
+    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], b_tot, b_mode)
+    return occupations, assemble_generator(agg, bath, occupations, b_tot, b_mode)
 
 
 @pytest.mark.parametrize(
@@ -63,25 +68,23 @@ def rows(basis):
     ],
 )
 def test_enumeration_counts(n_monomers, modes, b_tot, b_mode, expected):
-    basis = enumerate_basis(n_monomers, modes, b_tot, b_mode)
-    assert basis.shape == (expected, 1 + sum(modes))
+    block = enumerate_basis(n_monomers, modes, b_tot, b_mode)
+    assert n_monomers * len(block) == expected and block.shape[1] == sum(modes)
     brute = brute_force_occupations(sum(modes), b_tot, b_mode)
-    assert set(rows(basis[:, 1:])) == brute
-    assert len(set(rows(basis))) == len(basis)
+    assert set(rows(block)) == brute
+    assert len(set(rows(block))) == len(block)
     assert count_occupation_vectors(sum(modes), b_tot, b_mode) == len(brute)
 
 
 def test_enumeration_order_is_lexicographic():
     for n_monomers, modes, b_tot, b_mode in ((2, [1, 1], 1, 1), (3, [2, 0, 1], 4, 2)):
-        basis = enumerate_basis(n_monomers, modes, b_tot, b_mode)
-        brute = brute_force_occupations(sum(modes), b_tot, b_mode)
-        assert rows(basis) == sorted((n,) + beta for n in range(n_monomers) for beta in brute)
+        block = enumerate_basis(n_monomers, modes, b_tot, b_mode)
+        assert rows(block) == sorted(brute_force_occupations(sum(modes), b_tot, b_mode))
 
 
 def test_enumeration_respects_per_mode_cap():
     brute = brute_force_occupations(2, 4, 2)
-    basis = enumerate_basis(1, [2], 4, 2)
-    assert set(rows(basis[:, 1:])) == brute
+    assert set(rows(enumerate_basis(1, [2], 4, 2))) == brute
 
 
 def test_budget_error_reports_dimension():
@@ -94,8 +97,7 @@ def test_generator_two_level_hand_assembly():
     eps, gamma_amp, center, width = 0.3, 0.64, 1.0, 0.25
     agg = AggregateSpec.equal_parallel(1, epsilon=eps)
     bath = LorentzianBath.uniform(1, [(gamma_amp, center, width)])
-    basis = enumerate_basis(1, [1], 1, 1)
-    gen = assemble_generator(agg, bath, basis)
+    _, matrix = build(agg, bath, 1, 1)
     g = np.sqrt(gamma_amp)
     expected = np.array(
         [
@@ -103,27 +105,24 @@ def test_generator_two_level_hand_assembly():
             [1j * g, -1j * (eps + center) - width],
         ]
     )
-    assert_allclose(gen.matrix.toarray(), expected, atol=1e-15)
+    assert_allclose(matrix.toarray(), expected, atol=1e-15)
 
 
 def test_hamiltonian_part_symmetric_and_damping_diagonal():
     agg = AggregateSpec.equal_parallel(2, epsilon=[0.1, -0.1], coupling_v=0.44)
-    basis = enumerate_basis(2, [1, 1], 3, 3)
-    gen = assemble_generator(agg, DIMER_BATH, basis)
-    a = gen.matrix.toarray()
+    occupations, matrix = build(agg, DIMER_BATH, 3, 3)
+    a = matrix.toarray()
     hamiltonian = -a.imag
     assert np.array_equal(hamiltonian, hamiltonian.T)
     off_diag = a.real - np.diag(np.diag(a.real))
     assert np.all(off_diag == 0.0)
-    assert_allclose(np.diag(a).real, -0.25 * basis[:, 1:].sum(axis=1), atol=1e-15)
+    assert_allclose(np.diag(a).real, -0.25 * np.tile(occupations.sum(axis=1), 2), atol=1e-15)
 
 
 def test_sparsity_bound_per_row():
     agg = AggregateSpec.equal_parallel(3, coupling_v=0.44)
     bath = LorentzianBath.from_huang_rhys(3, [0.4, 0.2], [1.0, 1.5], [0.25, 0.3])
-    basis = enumerate_basis(3, [2, 2, 2], 3, 3)
-    gen = assemble_generator(agg, bath, basis)
-    csr = gen.matrix
+    _, csr = build(agg, bath, 3, 3)
     modes_per_monomer = 2
     bound = 2 * modes_per_monomer + 2 + 1
     row_counts = np.diff(csr.indptr)
@@ -133,31 +132,29 @@ def test_sparsity_bound_per_row():
 def test_gamma_zero_generator_is_anti_hermitian_and_conserves_norm():
     agg = AggregateSpec.equal_parallel(1)
     bath = LorentzianBath.uniform(1, [(0.64, 1.0, 0.0)])
-    basis = enumerate_basis(1, [1], 10, 10)
-    gen = assemble_generator(agg, bath, basis)
-    a = gen.matrix.toarray()
+    occupations, matrix = build(agg, bath, 10, 10)
+    a = matrix.toarray()
     assert_allclose(a, -a.conj().T, atol=1e-15)
     psi0, _ = initial_bright_state(agg)
-    psi = embed_initial_state(basis, psi0)
+    psi = embed_initial_state(psi0, len(occupations))
     dt = 0.002
     for _ in range(round(50.0 / dt)):
-        psi = _rk4_step(gen.matrix, psi, dt)
+        psi = _rk4_step(matrix, psi, dt)
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-8
 
 
 def test_norm_monotone_with_damping():
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    basis = enumerate_basis(2, [1, 1], 8, 8)
-    gen = assemble_generator(agg, DIMER_BATH, basis)
+    occupations, matrix = build(agg, DIMER_BATH, 8, 8)
     # log-norm condition: the Hermitian part of the generator is <= 0
-    a = gen.matrix.toarray()
+    a = matrix.toarray()
     herm = (a + a.conj().T) / 2
     assert np.max(np.linalg.eigvalsh(herm)) <= 1e-12
     psi0, _ = initial_bright_state(agg)
-    psi = embed_initial_state(basis, psi0)
+    psi = embed_initial_state(psi0, len(occupations))
     norms = [np.linalg.norm(psi)]
     for _ in range(2000):
-        psi = _rk4_step(gen.matrix, psi, 0.01)
+        psi = _rk4_step(matrix, psi, 0.01)
         norms.append(np.linalg.norm(psi))
     assert np.all(np.diff(norms) <= 1e-12)
 
@@ -177,11 +174,10 @@ def test_doubling_matches_direct_propagation():
 def test_doubling_requires_real_initial_state():
     agg = AggregateSpec.equal_parallel(1)
     bath = LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25)
-    basis = enumerate_basis(1, [1], 4, 4)
-    gen = assemble_generator(agg, bath, basis)
-    psi0 = embed_initial_state(basis, np.array([1j]))
+    occupations, matrix = build(agg, bath, 4, 4)
+    psi0 = embed_initial_state(np.array([1j]), len(occupations))
     with pytest.raises(PropagationError, match="doubling requires real"):
-        propagate_pm(gen, psi0, PropagationConfig(dt=0.01, t_max=1.0), doubling=True)
+        propagate_pm(matrix, psi0, PropagationConfig(dt=0.01, t_max=1.0), doubling=True)
 
 
 def test_monomer_matches_cumulant_oracle():
@@ -196,11 +192,12 @@ def test_monomer_matches_cumulant_oracle():
     assert np.max(np.abs(trace.samples - oracle.samples[:n])) <= 1e-4
 
 
-def reference_entries(agg, bath, basis):
-    """(rows, cols, values) of G entry by entry over a dict index, following
-    the module docstring; every diagonal entry is present, even a zero."""
+def reference_entries(agg, bath, occupations):
+    """(rows, cols, values) of G entry by entry over a dict index of the
+    states (n, beta) in index order, following the module docstring; every
+    diagonal entry is present, even a zero."""
     slots = [(n, term) for n, terms in enumerate(bath.terms) for term in terms]
-    states = [(row[0], tuple(row[1:])) for row in basis.tolist()]
+    states = list(itertools.product(range(agg.n_monomers), rows(occupations)))
     index = {state: i for i, state in enumerate(states)}
     entries = []
     for i, (n, beta) in enumerate(states):
@@ -220,15 +217,16 @@ def reference_entries(agg, bath, basis):
             j = index.get((m, beta))
             if j is not None and agg.coupling_v != 0.0:
                 entries.append((i, j, -1j * agg.coupling_v))
-    rows, cols, values = zip(*entries)
-    return np.array(rows), np.array(cols), np.array(values)
+    i, j, values = zip(*entries)
+    return np.array(i), np.array(j), np.array(values)
 
 
-def dense_reference(agg, bath, basis):
+def dense_reference(agg, bath, occupations):
     """Dense G from ``reference_entries``."""
-    rows, cols, values = reference_entries(agg, bath, basis)
-    g = np.zeros((len(basis), len(basis)), dtype=complex)
-    g[rows, cols] = values
+    i, j, values = reference_entries(agg, bath, occupations)
+    dim = agg.n_monomers * len(occupations)
+    g = np.zeros((dim, dim), dtype=complex)
+    g[i, j] = values
     return g
 
 
@@ -248,16 +246,14 @@ TWO_MODE_BATH = LorentzianBath.from_huang_rhys(3, [0.4, 0.2], [0.93, 1.37], [0.2
     ids=["trimer-two-modes", "trimer-v0", "monomer-caps300", "chain7-sixterm"],
 )
 def test_generator_matches_dense_reference(agg, bath, caps):
-    basis = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], *caps)
-    gen = assemble_generator(agg, bath, basis)
-    assert np.array_equal(gen.matrix.toarray(), dense_reference(agg, bath, basis))
+    occupations, matrix = build(agg, bath, *caps)
+    assert np.array_equal(matrix.toarray(), dense_reference(agg, bath, occupations))
 
 
 @st.composite
-def shuffled_problems(draw, max_terms=2, max_caps=3):
+def small_bases(draw, max_terms=3, max_caps=4):
     """A small aggregate (V = 0 or not) and bath (up to ``max_terms`` per
-    monomer), its basis within caps up to ``max_caps``, a row permutation and
-    a psi0."""
+    monomer) with caps (b_tot, b_mode) up to ``max_caps`` each."""
     n = draw(st.integers(1, 3))
     real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
     term = st.tuples(real(0.01, 2.0), real(-2.0, 2.0), real(0.0, 1.0))
@@ -266,40 +262,19 @@ def shuffled_problems(draw, max_terms=2, max_caps=3):
         n, draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)),
         draw(st.one_of(st.just(0.0), real(-1.0, 1.0))),
     )
-    bath = LorentzianBath(tuple(tuple(t) for t in terms))
-    basis = enumerate_basis(
-        n, [len(t) for t in terms],
-        draw(st.integers(0, max_caps)), draw(st.integers(0, max_caps)),
-    )
-    perm = np.array(draw(st.permutations(range(len(basis)))))
-    psi0 = np.array(draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)))
-    return agg, bath, basis, perm, psi0
+    caps = draw(st.integers(0, max_caps)), draw(st.integers(0, max_caps))
+    return agg, LorentzianBath(tuple(tuple(t) for t in terms)), caps
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(shuffled_problems())
-def test_basis_ordering_invariance(problem):
-    # assembling P.basis gives exactly P G P^T, and the embedding permutes along
-    agg, bath, basis, perm, psi0 = problem
-    g = assemble_generator(agg, bath, basis).matrix.toarray()
-    shuffled = assemble_generator(agg, bath, basis[perm])
-    assert np.array_equal(shuffled.basis, basis[perm])
-    assert np.array_equal(shuffled.matrix.toarray(), g[np.ix_(perm, perm)])
-    assert np.array_equal(
-        embed_initial_state(basis[perm], psi0), embed_initial_state(basis, psi0)[perm]
-    )
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(shuffled_problems(max_terms=3, max_caps=4))
+@given(small_bases())
 def test_in_place_csr_equals_coo_reference(problem):
     # the CSR written in place holds the arrays scipy's COO -> CSR conversion
     # gives for the same entries, in canonical format
-    agg, bath, basis, perm, _ = problem
-    basis = basis[perm]
-    matrix = assemble_generator(agg, bath, basis).matrix
-    rows, cols, values = reference_entries(agg, bath, basis)
-    reference = scipy.sparse.coo_matrix((values, (rows, cols)), shape=matrix.shape).tocsr()
+    agg, bath, caps = problem
+    occupations, matrix = build(agg, bath, *caps)
+    i, j, values = reference_entries(agg, bath, occupations)
+    reference = scipy.sparse.coo_matrix((values, (i, j)), shape=matrix.shape).tocsr()
     assert matrix.has_canonical_format
     for name in ("indptr", "indices", "data"):
         ours, theirs = getattr(matrix, name), getattr(reference, name)
@@ -316,27 +291,19 @@ def traced_peak(build):
 
 
 def test_enumeration_peak_memory_stays_near_the_basis():
-    # six-term dimer at caps 6: 37,128 rows; the rows are written into one
-    # array, without fanned-out or tiled copies of it
-    basis, peak = traced_peak(lambda: enumerate_basis(2, [6, 6], 6, 6))
-    assert len(basis) == 37128
-    assert peak <= 1.75 * basis.nbytes
+    # six-term dimer at caps 6: 18,564 occupation vectors, written into one
+    # array, without fanned-out copies of it
+    block, peak = traced_peak(lambda: enumerate_basis(2, [6, 6], 6, 6))
+    assert block.shape == (18564, 12)
+    assert peak <= 1.75 * block.nbytes
 
 
 def test_assembly_peak_memory_stays_near_the_csr():
     # the CSR arrays are written once, without COO copies of the entries
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    basis = enumerate_basis(2, [6, 6], 6, 6)
-    generator, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), basis))
-    csr = generator.matrix
+    block = enumerate_basis(2, [6, 6], 6, 6)
+    csr, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), block, 6, 6))
     assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
-
-
-def test_default_caps_heuristic():
-    assert default_caps(DIMER_BATH) == 8  # ceil(4 + 6 * 0.64)
-    assert default_caps(LorentzianBath.from_huang_rhys(1, 1.2, 1.0, 0.25)) == 12
-    with pytest.raises(ValueError):
-        default_caps(LorentzianBath.uniform(1, [(0.5, 0.0, 1.0)]))
 
 
 def test_converge_caps_trivial_for_empty_bath():
@@ -377,21 +344,30 @@ def test_converge_caps_budget_failure_reports_overlaps():
 
 
 def test_pm_state_and_index_types():
-    # one read-only integer row (n, beta...) per state; the generator keeps it
-    basis = enumerate_basis(2, [1, 1], 1, 1)
-    assert basis.dtype.kind == "i" and not basis.flags.writeable
-    assert rows(basis) == [
-        (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0),
-    ]
+    # one read-only int32 occupation row per vector; state (n, row k) is
+    # index n * n_vectors + k
+    block = enumerate_basis(2, [1, 1], 1, 1)
+    assert block.dtype == np.int32 and not block.flags.writeable
+    assert rows(block) == [(0, 0), (0, 1), (1, 0)]
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    gen = assemble_generator(agg, DIMER_BATH, basis)
-    assert gen.basis is basis and gen.dim == 6
-    with pytest.raises(ValueError, match="occupation length"):
-        assemble_generator(agg, DIMER_BATH, basis[:, :2])
-    psi = embed_initial_state(basis, np.array([0.6, 0.8]))
-    # exactly the two vacuum rows carry the electronic amplitudes
+    matrix = assemble_generator(agg, DIMER_BATH, block, 1, 1)
+    assert isinstance(matrix, scipy.sparse.csr_matrix) and matrix.shape == (6, 6)
+    with pytest.raises(ValueError, match="does not match the bath"):
+        assemble_generator(agg, DIMER_BATH, block[:, :1], 1, 1)
+    psi = embed_initial_state(np.array([0.6, 0.8]), len(block))
+    # exactly the vacuum row of each block carries the electronic amplitude
     assert np.flatnonzero(psi).tolist() == [0, 3]
     assert psi[[0, 3]].tolist() == [0.6, 0.8]
+
+
+def test_assembly_rejects_a_block_that_does_not_match_its_caps():
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    block = enumerate_basis(2, [1, 1], 2, 2)
+    for caps in ((1, 1), (2, 1), (3, 3)):
+        with pytest.raises(ValueError, match="does not match the bath and caps"):
+            assemble_generator(agg, DIMER_BATH, block, *caps)
+    with pytest.raises(ValueError, match="does not match the bath and caps"):
+        assemble_generator(agg, DIMER_BATH, block[:-1], 2, 2)
 
 
 def assert_krylov_matches_rk4(agg, bath, cfg, caps, min_overlap=None):
@@ -467,10 +443,10 @@ def test_doubling_identity_property(problem):
     # R, so the doubled trace is the direct one at t = 2k dt up to rounding
     agg, bath, caps = problem
     cfg = PropagationConfig(dt=0.01, t_max=5.0)
-    generator, psi0, mu_tot_sq = pseudomode._generator_and_state(
+    matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(
         agg, bath, caps, pseudomode.DEFAULT_MAX_STATES)
-    doubled = propagate_pm(generator, psi0, cfg, mu_tot_sq, doubling=True)
-    direct = propagate_pm(generator, psi0, cfg, mu_tot_sq, doubling=False)
+    doubled = propagate_pm(matrix, psi0, cfg, mu_tot_sq, doubling=True)
+    direct = propagate_pm(matrix, psi0, cfg, mu_tot_sq, doubling=False)
     assert doubled.dt == 2 * direct.dt
     assert np.max(np.abs(doubled.samples - direct.samples[::2])) <= 1e-12 * mu_tot_sq
 
@@ -490,15 +466,14 @@ def test_krylov_depth_ladder_matches_a_deeper_recursion(monkeypatch):
 def test_lanczos_rejects_amplifying_generator():
     # G + 0.1 I is not dissipative: |M(t)| would rise above M(0) = mu^2
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    basis = enumerate_basis(2, [1, 1], 12, 12)
-    gen = assemble_generator(agg, DIMER_BATH, basis)
-    psi0 = embed_initial_state(basis, initial_bright_state(agg)[0])
-    amplifying = gen.matrix + 0.1 * scipy.sparse.identity(gen.dim, format="csr")
+    occupations, matrix = build(agg, DIMER_BATH, 12, 12)
+    psi0 = embed_initial_state(initial_bright_state(agg)[0], len(occupations))
+    amplifying = matrix + 0.1 * scipy.sparse.identity(matrix.shape[0], format="csr")
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
     with pytest.raises(PropagationError, match="not dissipative"):
         _lanczos_trace(amplifying, psi0, cfg, 1.0)
     with pytest.raises(PropagationError, match="real initial state"):
-        _lanczos_trace(gen.matrix, 1j * psi0, cfg, 1.0)
+        _lanczos_trace(matrix, 1j * psi0, cfg, 1.0)
 
 
 def test_lanczos_single_state_stops_at_lucky_breakdown():
