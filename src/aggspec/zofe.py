@@ -22,17 +22,15 @@ coupling operators L[n] = -|pi_n><pi_n|.  This avoids any history
 convolution: the cost per step is independent of t.  The scheme is exact for
 non-interacting monomers (V = 0) and in the Markov limit of broad baths.
 
-Since L[n] = -|pi_n><pi_n|, the memory term -sum_n L[n]^dag Qbar[n] is the
-matrix whose row n is row n of Qbar[n]; the propagator builds it with one
-gather and one product, without the general operator algebra of
-``zofe_rhs`` (kept as the reference that tests compare against).
-
 One RK4 kernel propagates a batch of lanes at once: a lane is one aggregate
-(typically one coupling value of a scan) under the shared bath, with its own
--1j H and initial state; psi has shape (B, N) and the auxiliaries
-(B, K, N, N).  Every operation acts lane by lane (stacked products and
-elementwise reductions), so a lane's trace is bit-identical whether it runs
-alone or in any batch.  ``propagate_zofe`` is the batch of one.
+(typically one coupling value of a scan) under its own bath, and the lanes
+share N and the number K of bath terms.  A lane's state is one packed
+(K, N, N + 1) block, so an RK4 stage is one matrix product per (lane, term)
+(``_LaneRhs``, specialised to L[n] = -|pi_n><pi_n|; ``zofe_rhs`` is the
+general form that tests compare against).  Every operation acts lane by lane
+(stacked products and elementwise reductions), so a lane's trace is
+bit-identical whether it runs alone or in any batch.  ``propagate_zofe`` is
+the batch of one.
 
 The auxiliary feedback is quadratic; in narrow resonance-like windows of the
 electronic coupling it develops sharp transients that the step must resolve.
@@ -108,82 +106,100 @@ def zofe_rhs(psi, aux, h_sys: np.ndarray, terms: BathTerms, l_ops: np.ndarray):
 
 
 class _LaneRhs:
-    """Right-hand side of a batch of lanes under one bath, with L[n] = -|n><n|.
+    """Right-hand side of a batch of lanes, with L[n] = -|n><n|, as one product.
 
-    ``minus_ih`` is the (B, N, N) stack of -1j H, one per lane; psi is kept
-    as (B, N, 1) columns and aux as (B, K, N, N).  Each lane's derivative
-    comes out multiplied by its rate (``select``).  At rate 2^-l an RK4
-    step dt is bit for bit the RK4 step dt / 2^l at rate 1: scaling by a
-    power of two is exact, so every lane can share the scalar step dt.
+    A lane's packed state has shape (K, N, N + 1): slot k holds Q[k] in its
+    first N columns, and slot 0 also psi in column N (zero in the others).
+    For every (lane, term) one N x 2N by 2N x (N + 1) product
+
+        [K | Q[k]] @ [[Q[k], psi]; [-(K + z_k I), 0]]
+
+    gives K Q[k] - Q[k] K - z_k Q[k], to which the source S_k = Gamma_k
+    L[n_k] is added, and in slot 0's last column K psi.  The constant blocks
+    are written once per batch; ``select`` only drops lanes.
     """
 
-    def __init__(self, minus_ih, terms: BathTerms):
+    def __init__(self, minus_ih, terms):
         b, n, _ = minus_ih.shape
-        self.term_index = np.arange(terms.count)
-        self.monomer = terms.monomer
-        # owner[n, k] = 1 where term k belongs to monomer n
-        owner = (self.monomer == np.arange(n)[:, None]).astype(complex)
-        # source term Gamma_k L[n_k] of each auxiliary operator
-        source = terms.gamma_amp[:, None, None] * coupling_operators(n)[self.monomer]
-        # the coefficients of the derivative per lane, at rate 1
-        self.unit = [minus_ih] + [
-            np.broadcast_to(a, (b, *a.shape)) for a in (owner, terms.z[:, None, None], source)]
-        self.select(slice(None), np.ones(b))
+        count = terms[0].count
+        # an empty bath keeps one inert slot (Q = z = S = 0) to carry psi
+        monomer, z, amp = (np.zeros((b, max(count, 1)), dtype=d) for d in (int, complex, float))
+        monomer[:, :count], z[:, :count], amp[:, :count] = (
+            [getattr(t, name) for t in terms] for name in ("monomer", "z", "gamma_amp"))
+        # owner[b, n, k N + m] = 1 where term k of lane b belongs to monomer n = m
+        owner = (monomer[:, None, :, None] == np.arange(n)[:, None, None]) & np.eye(n, dtype=bool)[:, None]
+        self.owner = owner.reshape(b, n, -1).astype(complex)
+        # the operators below carry a zero last column, the shape of a slot
+        self.minus_ih = np.zeros((b, n, n + 1), dtype=complex)
+        self.minus_ih[..., :n] = minus_ih
+        self.minus_z, self.source = np.zeros((2, *monomer.shape, n, n + 1), dtype=complex)
+        self.minus_z[..., :n] = -z[..., None, None] * np.eye(n)
+        self.source[..., :n] = amp[..., None, None] * coupling_operators(n)[monomer]
+        self.left = np.zeros((*monomer.shape, n, 2 * n), dtype=complex)
+        self.right = np.zeros((*monomer.shape, 2 * n, n + 1), dtype=complex)
+        self.select(slice(None))
 
-    def select(self, lanes, rates):
-        """Restrict the batch to the given lane positions, with these rates."""
-        self.unit = [a[lanes] for a in self.unit]
-        self.minus_ih, self.owner, self.z, self.source = (
-            rates.reshape((-1,) + (1,) * (a.ndim - 1)) * a for a in self.unit)
+    def select(self, lanes):
+        """Restrict the batch to the given lane positions."""
+        for name in ("minus_ih", "owner", "minus_z", "source", "left", "right"):
+            setattr(self, name, getattr(self, name)[lanes])
+        b, n, _ = self.minus_ih.shape
+        self.k_op, self.rows = np.zeros_like(self.minus_ih), (b, -1, n)
+        self.k_cols, self.k_block = self.k_op[..., :n], self.k_op[:, None]
+        self.left_k, self.left_q = self.left[..., :n], self.left[..., n:]
+        self.right_state, self.right_k = self.right[..., :n, :], self.right[..., n:, :]
 
-    def __call__(self, psi, aux):
-        # -sum_n L[n]^dag Qbar[n]: row n of each Q[k] owned by monomer n
-        rows = aux[:, self.term_index, self.monomer, :]
-        k_op = self.minus_ih + self.owner @ rows
-        b, terms, n, _ = aux.shape
-        daux = k_op[:, None] @ aux
-        # Q[k] @ K for all k as one product per lane on the stacked rows
-        daux -= (aux.reshape(b, terms * n, n) @ k_op).reshape(aux.shape)
-        daux -= self.z * aux
-        daux += self.source
-        return k_op @ psi, daux
+    def __call__(self, state, out):
+        """The derivative of the packed ``state``, written into ``out``."""
+        q = state[..., :-1]
+        # -sum_n L[n]^dag Qbar[n] is the matrix whose row n is row n of Qbar[n]:
+        # one product of ``owner`` with the K N rows of a lane's Q[k]
+        np.matmul(self.owner, q.reshape(self.rows), self.k_cols)
+        self.k_op += self.minus_ih
+        self.left_k[...] = self.k_block[..., :-1]
+        self.left_q[...] = q
+        self.right_state[...] = state
+        np.subtract(self.minus_z, self.k_block, self.right_k)
+        np.matmul(self.left, self.right, out)
+        out += self.source
+        return out
 
 
-def _run_lanes(aggs, bath: LorentzianBath, config: PropagationConfig):
+def _run_lanes(aggs, baths, config: PropagationConfig):
     """RK4 over a batch of lanes, each on its own clock (module docstring).
 
-    Returns (samples, mu_sq, levels, errors, psi, aux): M(t_k = k dt) per
-    lane as a (B, n_steps + 1) block, mu_tot^2 and the final level per lane,
-    a dict lane -> PropagationError for the failed lanes (their rows are not
+    ``baths`` holds one LorentzianBath per lane, or is one for all.  Returns
+    (samples, mu_sq, levels, errors, psi, aux): M(t_k = k dt) per lane as a
+    (B, n_steps + 1) block, mu_tot^2 and the final level per lane, a dict
+    lane -> PropagationError for the failed lanes (their rows are not
     valid), and the final psi (B, N, 1) and aux (B, K, N, N).
     """
-    n = aggs[0].n_monomers
-    if any(agg.n_monomers != n for agg in aggs):
-        raise ValueError("all lanes of a batch need the same number of monomers")
-    if bath.n_monomers != n:
-        raise ValueError("bath must provide a term list per monomer")
-    terms = BathTerms.from_bath(bath)
+    baths = [baths] * len(aggs) if isinstance(baths, LorentzianBath) else baths
+    n, terms = aggs[0].n_monomers, [BathTerms.from_bath(bath) for bath in baths]
+    shapes = {(agg.n_monomers, bath.n_monomers, t.count) for agg, bath, t in zip(aggs, baths, terms)}
+    if len(baths) != len(aggs) or shapes != {(n, n, terms[0].count)}:
+        raise ValueError("a batch needs one bath per lane, and the lanes need the same "
+                         "number of monomers and of bath terms")
     rhs = _LaneRhs(np.stack([-1j * build_system_hamiltonian(agg) for agg in aggs]), terms)
     bright = [initial_bright_state(agg) for agg in aggs]
-    psi0 = np.stack([p for p, _ in bright])[:, :, None]
+    psi0 = np.stack([p for p, _ in bright])
     mu_sq = np.array([mu_tot**2 for _, mu_tot in bright])
+    state0 = np.zeros(rhs.right_state.shape, dtype=complex)
+    state0[:, 0, :, n] = psi0
+    # per lane mu_tot^2 <psi0| and <psi|, the latter written every step
+    bra = np.stack([mu_sq[:, None] * psi0.conj(), psi0.conj()], axis=1)
 
     dt, n_steps, lanes = config.dt, config.n_steps, len(aggs)
-    half, sixth = 0.5 * dt, dt / 6.0
     samples = np.empty((lanes, n_steps + 1), dtype=complex)
-    # elementwise reductions, not gemv across lanes: a lane's sums must not
-    # depend on which batch it runs in
-    samples[:, 0] = mu_sq * np.einsum("bij,bij->b", psi0.conj(), psi0)
+    samples[:, 0] = mu_sq * np.einsum("bi,bi->b", psi0.conj(), psi0)
     levels = np.zeros(lanes, dtype=int)
     prefix = np.zeros(lanes, dtype=int)  # grid steps [0, prefix) run at the level
     # the state at grid step saved_grid where a lane last started or ended its
     # prefix or ended its run; a trip after the prefix resumes there
-    saved_grid, saved_psi = np.zeros(lanes, dtype=int), psi0.copy()
-    saved_aux = np.zeros((lanes, terms.count, n, n), dtype=complex)
+    saved_grid, saved = np.zeros(lanes, dtype=int), state0.copy()
     errors = {}
     # per running lane; rows are dropped when a lane ends or fails
-    live, psi0_conj, live_mu_sq = np.arange(lanes), psi0.conj(), mu_sq
-    psi, aux = saved_psi.copy(), saved_aux.copy()
+    live, state = np.arange(lanes), saved.copy()
     # grid steps done, substeps done inside the current one, and the grid
     # step where the lane ends its prefix or its run (all as of the last event)
     grid, sub, stop = (np.zeros(lanes, dtype=int) for _ in range(3))
@@ -204,61 +220,76 @@ def _run_lanes(aggs, bath: LorentzianBath, config: PropagationConfig):
                         levels[lane], prefix[lane] = max(levels[lane], 1), step + _REFINE_MARGIN
                     elif levels[lane] < _MAX_LEVEL:
                         levels[lane] += 1
-                        saved_grid[lane], saved_psi[lane], saved_aux[lane] = 0, psi0[lane], 0.0
+                        saved_grid[lane], saved[lane] = 0, state0[lane]
                     else:
-                        h = dt / nsub[pos]
+                        substep = dt / nsub[pos]
                         errors[int(lane)] = PropagationError(
                             f"state norm grew to {np.sqrt(norm_sq[pos]):.6g} at "
-                            f"t = {reached * h:.4g} with step {h:.4g}; dt too large"
+                            f"t = {reached * substep:.4g} with step {substep:.4g}; dt too large"
                         )
                         continue
-                    psi[pos], aux[pos] = saved_psi[lane], saved_aux[lane]
-                    grid[pos], sub[pos] = saved_grid[lane], 0
+                    state[pos], grid[pos], sub[pos] = saved[lane], saved_grid[lane], 0
                 save = grid == stop
-                saved_grid[live[save]], saved_psi[live[save]], saved_aux[live[save]] = (
-                    grid[save], psi[save], aux[save])
+                saved_grid[live[save]], saved[live[save]] = grid[save], state[save]
                 keep = (grid < n_steps) & np.array([lane not in errors for lane in live])
-                live, psi0_conj, live_mu_sq, psi, aux, grid, sub = (
-                    a[keep] for a in (live, psi0_conj, live_mu_sq, psi, aux, grid, sub))
+                live, bra, state, grid, sub = (a[keep] for a in (live, bra, state, grid, sub))
                 if live.size == 0:
                     break
                 in_prefix = grid < prefix[live]
                 nsub = 1 << np.where(in_prefix, levels[live], 0)
                 stop = np.where(in_prefix, np.minimum(prefix[live], n_steps), n_steps)
-                rhs.select(keep, 1.0 / nsub)
+                rhs.select(keep)
+                # each lane steps dt / nsub, and psi lies in slot 0's last column
+                h = np.broadcast_to((dt / nsub)[:, None, None, None], state.shape).astype(complex)
+                half, sixth = 0.5 * h, h / 6.0
+                stage, k1, k2, k3, k4 = (np.empty_like(state) for _ in range(5))
+                stages = ((k1, k2, half), (k2, k3, half), (k3, k4, h))
+                psi = state[:, 0, :, n]
                 # no lane reaches its stop before this many calls
                 calls, countdown = 0, int(((stop - grid) * nsub - sub).min())
                 ahead = sub + nsub - 1
 
-            d1p, d1a = rhs(psi, aux)
-            d2p, d2a = rhs(psi + half * d1p, aux + half * d1a)
-            d3p, d3a = rhs(psi + half * d2p, aux + half * d2a)
-            d4p, d4a = rhs(psi + dt * d3p, aux + dt * d3a)
-            psi = psi + sixth * (d1p + 2.0 * (d2p + d3p) + d4p)
-            aux = aux + sixth * (d1a + 2.0 * (d2a + d3a) + d4a)
+            rhs(state, k1)
+            for k_in, k_out, step in stages:
+                np.multiply(k_in, step, out=stage)
+                stage += state
+                rhs(stage, k_out)
+            # state += sixth * (k1 + 2 (k2 + k3) + k4), in place
+            k2 += k3
+            k2 += k2
+            k2 += k1
+            k2 += k4
+            k2 *= sixth
+            state += k2
             calls += 1
+            # <psi0|psi> and <psi|psi> in one elementwise reduction per lane,
+            # not gemv across lanes: a lane's sums must not depend on its batch
+            np.conjugate(psi, out=bra[:, 1])
+            overlaps = np.einsum("bci,bi->bc", bra, psi)
             # each substep writes M at the grid point it steps toward, so the
             # last substep of a grid step leaves the sample there; a lane that
             # trips writes over its slots again when it reruns them
-            samples[live, grid + (ahead + calls) // nsub] = (
-                live_mu_sq * np.einsum("bij,bij->b", psi0_conj, psi))
-            norm_sq = np.einsum("bij,bij->b", psi.conj(), psi).real
+            samples[live, grid + (ahead + calls) // nsub] = overlaps[:, 0]
+            norm_sq = overlaps[:, 1].real
             ok = norm_sq <= _NORM_GUARD**2
             if not ok.all():
                 countdown = calls
-    return samples, mu_sq, levels, errors, saved_psi, saved_aux
+    return (samples, mu_sq, levels, errors,
+            saved[:, 0, :, n:], saved[:, :terms[0].count, :, :n])
 
 
-def propagate_zofe_lanes(aggs, bath: LorentzianBath, config: PropagationConfig) -> list:
-    """Correlation traces of several aggregates under one bath, as one batch.
+def propagate_zofe_lanes(aggs, baths, config: PropagationConfig) -> list:
+    """Correlation traces of several aggregates, as one batch.
 
+    ``baths`` is one LorentzianBath per aggregate, or one for all of them;
+    the lanes must share N and the number of bath terms (ValueError).
     Returns one entry per aggregate, in order: its CorrelationTrace on the
     grid k*dt, or a PropagationError if the norm guard stopped that lane even
     at dt/8.  Each trace is bit-identical to ``propagate_zofe`` of the same
-    aggregate; the traces share one (B, n_steps + 1) block that lives as long
-    as any of them.
+    aggregate and bath; the traces share one (B, n_steps + 1) block that
+    lives as long as any of them.
     """
-    samples, mu_sq, _, errors, _, _ = _run_lanes(aggs, bath, config)
+    samples, mu_sq, _, errors, _, _ = _run_lanes(aggs, baths, config)
     return [
         errors[lane] if lane in errors
         else CorrelationTrace(dt=config.dt, samples=samples[lane], mu_tot_sq=mu_sq[lane])

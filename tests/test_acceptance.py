@@ -226,10 +226,13 @@ def test_criterion_08_markov_limit_ladder():
     nu = np.arange(-3.0, 4.0, 0.01)
     reference = absorption_from_trace(markov_oracle(agg, theta, cfg), 0.02, nu)
     ref_area = np.trapezoid(np.abs(reference.values), nu)
+    # the three widths as one lane batch, one bath per lane
+    baths = [LorentzianBath.uniform(2, [(theta * gamma, 0.0, gamma)]) for gamma in (8.0, 16.0, 32.0)]
     errors = []
-    for gamma in (8.0, 16.0, 32.0):
-        bath = LorentzianBath.uniform(2, [(theta * gamma, 0.0, gamma)])
-        spec = absorption_from_trace(propagate_zofe(agg, bath, cfg), 0.02, nu)
+    for trace in propagate_zofe_lanes([agg] * 3, baths, cfg):
+        if isinstance(trace, PropagationError):
+            raise trace
+        spec = absorption_from_trace(trace, 0.02, nu)
         errors.append(float(np.trapezoid(np.abs(spec.values - reference.values), nu) / ref_area))
     report(
         8, "broad-bath ladder converges to the delta-correlation limit",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -256,26 +258,91 @@ def test_empty_bath_is_free_electronic_evolution():
     assert_allclose(trace.samples, expected, atol=1e-9)
 
 
+MIXED_DIMER_BATHS = [
+    DIMER_BATH,
+    LorentzianBath((((0.3, 0.5, 0.4),), ((0.9, 1.3, 0.2),))),
+    LorentzianBath((((0.2, -0.4, 0.6), (0.5, 1.1, 0.3)), ())),  # ragged, same count
+]
+
+
 @pytest.mark.parametrize("n, bath", [
     (1, MONOMER_BATH),
     (2, DIMER_BATH),
     (7, LorentzianBath.from_huang_rhys(7, 0.64, 1.0, 0.25)),
     (2, SIX_TERM_BATH),
+    (2, MIXED_DIMER_BATHS),
+    (2, LorentzianBath.uniform(2, [])),
 ])
 def test_lane_rhs_matches_general_rhs(n, bath):
-    # the batched right-hand side (row gather for L[n] = -|n><n|) against the
-    # general operator form, lane by lane, with a different H per lane
+    # one evaluation of the packed product against the general operator form,
+    # lane by lane, with a different H per lane and one bath for all lanes
+    # or one per lane
     rng = np.random.default_rng(n)
-    terms = BathTerms.from_bath(bath)
+    terms = [BathTerms.from_bath(b) for b in (bath if isinstance(bath, list) else [bath] * 3)]
+    count = terms[0].count
     hams = [build_system_hamiltonian(AggregateSpec.equal_parallel(
         n, epsilon=rng.normal(size=n), coupling_v=v)) for v in (-0.7, 0.2, 1.1)]
     psi = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    aux = rng.normal(size=(3, terms.count, n, n)) + 1j * rng.normal(size=(3, terms.count, n, n))
-    dpsi, daux = _LaneRhs(np.stack([-1j * h for h in hams]), terms)(psi[:, :, None], aux)
+    aux = rng.normal(size=(3, count, n, n)) + 1j * rng.normal(size=(3, count, n, n))
+    # K = 0 keeps one inert slot to carry psi
+    state = np.zeros((3, max(count, 1), n, n + 1), dtype=complex)
+    state[:, :count, :, :n] = aux
+    state[:, 0, :, n] = psi
+    deriv = _LaneRhs(np.stack([-1j * h for h in hams]), terms)(state, np.empty_like(state))
     for b, h in enumerate(hams):
-        ref_p, ref_a = zofe_rhs(psi[b], aux[b], h, terms, coupling_operators(n))
-        assert_allclose(dpsi[b, :, 0], ref_p, rtol=0, atol=1e-14)
-        assert_allclose(daux[b], ref_a, rtol=0, atol=1e-14)
+        ref_p, ref_a = zofe_rhs(psi[b], aux[b], h, terms[b], coupling_operators(n))
+        assert_allclose(deriv[b, 0, :, n], ref_p, rtol=0, atol=1e-14)
+        assert_allclose(deriv[b, :count, :, :n], ref_a, rtol=0, atol=1e-14)
+    # only slot 0 carries psi, and the inert slot stays at rest
+    assert not deriv[:, 1:, :, n].any() and not deriv[:, count:, :, :n].any()
+
+
+def test_lanes_must_share_n_and_term_count():
+    aggs = [AggregateSpec.equal_parallel(2)] * 2
+    cfg = PropagationConfig(dt=0.01, t_max=1.0)
+    for baths in ([DIMER_BATH, SIX_TERM_BATH], [DIMER_BATH], [DIMER_BATH, MONOMER_BATH]):
+        with pytest.raises(ValueError, match="one bath per lane"):
+            propagate_zofe_lanes(aggs, baths, cfg)
+
+
+@st.composite
+def lane_batches(draw):
+    """Two to four lanes of N = 1-3 monomers, each with its own random
+    energies, coupling and bath of 0-3 Lorentzians per monomer (ragged or
+    empty); the baths of a batch share the term count."""
+    n = draw(st.integers(1, 3))
+    count = draw(st.integers(0, 3 * n))
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
+    term = st.tuples(real(0.01, 0.5), real(-1.0, 2.0), real(0.1, 1.0))
+    lanes = []
+    for _ in range(draw(st.integers(2, 4))):
+        owners = draw(st.permutations(sorted(list(range(n)) * 3)))[:count]
+        drawn = draw(st.lists(term, min_size=count, max_size=count))
+        bath = LorentzianBath(tuple(
+            tuple(t for t, owner in zip(drawn, owners) if owner == m) for m in range(n)))
+        epsilon = draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n))
+        lanes.append((AggregateSpec.equal_parallel(n, epsilon, draw(real(-1.0, 1.0))), bath))
+    return lanes
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(lane_batches())
+def test_lanes_with_their_own_baths_property(lanes):
+    # every lane gives the same bits alone and in the batch, and a lane that
+    # never trips follows RK4 on the general right-hand side
+    aggs, baths = zip(*lanes)
+    cfg = PropagationConfig(dt=0.01, t_max=3.0)
+    samples, mu_sq, levels, errors, _, _ = _run_lanes(aggs, baths, cfg)
+    for b, (agg, bath) in enumerate(lanes):
+        alone, _, alone_levels, alone_errors, _, _ = _run_lanes([agg], [bath], cfg)
+        assert alone_levels[0] == levels[b]
+        if b in errors:
+            assert str(alone_errors[0]) == str(errors[b])
+            continue
+        assert np.array_equal(alone[0], samples[b])
+        if levels[b] == 0:
+            ref = reference_run(agg, bath, cfg)
+            assert np.max(np.abs(samples[b] - ref)) <= 1e-12 * mu_sq[b]
 
 
 @pytest.mark.parametrize("n, couplings, tripping", [
@@ -316,7 +383,28 @@ def test_batched_kernel_matches_reference_rk4(n, couplings):
     for b, agg in enumerate(aggs):
         ref, level = reference_trace(agg, bath, cfg)
         assert levels[b] == level
-        assert np.max(np.abs(samples[b] - ref)) <= 1e-13
+        # a trip amplifies the rounding of the packed product: 1.26e-12 at
+        # N = 2, V = -0.425 and 5.5e-13 at N = 7, V = 0.42
+        assert np.max(np.abs(samples[b] - ref)) <= (2e-12 if level else 1e-13)
+
+
+def traced_peak(build):
+    """(result of ``build()``, peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lane_run_peak_memory_stays_near_the_samples():
+    # the 11-lane dimer scan, both end lanes refined: the (B, n_steps + 1)
+    # sample block is the only array that grows with the run
+    aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in np.linspace(-0.425, 0.425, 11)]
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    (samples, _, levels, errors, _, _), peak = traced_peak(lambda: _run_lanes(aggs, DIMER_BATH, cfg))
+    assert not errors and list(levels) == [1] + [0] * 9 + [1]
+    assert peak <= 1.25 * samples.nbytes
 
 
 def test_prefix_extension_matches_a_rerun_from_zero():
