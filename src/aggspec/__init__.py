@@ -11,7 +11,12 @@ Two solvers produce the dipole correlation trace M(t) for the same model
 
 ``spectra`` turns traces into spectra and quantifies the agreement of two
 spectra with an area-overlap percentage; ``cli`` drives scenario files.
+
+The pseudomode names are imported on first access: ``pseudomode`` imports
+scipy.sparse, which a ZOFE-only run never needs.
 """
+
+import importlib
 
 from .model import (
     AggregateSpec,
@@ -25,17 +30,6 @@ from .model import (
     spectral_density,
 )
 from .propagation import PropagationConfig, PropagationError, default_time_step
-from .pseudomode import (
-    BasisSizeError,
-    CapConvergenceError,
-    assemble_generator,
-    converge_caps,
-    embed_initial_state,
-    enumerate_basis,
-    krylov_correlation,
-    pm_correlation,
-    propagate_pm,
-)
 from .spectra import (
     CorrelationTrace,
     Spectrum,
@@ -54,3 +48,15 @@ from .zofe import (
 )
 
 __version__ = "0.1.0"
+
+_PSEUDOMODE_NAMES = frozenset({
+    "BasisSizeError", "CapConvergenceError", "assemble_generator", "converge_caps",
+    "embed_initial_state", "enumerate_basis", "krylov_correlation", "pm_correlation",
+    "propagate_pm",
+})
+
+
+def __getattr__(name):
+    if name in _PSEUDOMODE_NAMES:
+        return getattr(importlib.import_module(".pseudomode", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

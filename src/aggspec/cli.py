@@ -24,7 +24,8 @@ the batch with a finer step over the part of its trace up to the trip (see
 lanes, one per worker process.  A lane's result does not depend on the batch
 it ran in, so the files do not depend on the split.
 The pseudomode side takes every trace from ``krylov_correlation``, a Lanczos
-recursion with no time step: dt sets only its sample grid.
+recursion with no time step: dt sets only its sample grid.  ``pseudomode``
+(and with it scipy.sparse) is imported only by runs that use it.
 
 Exit codes: 0 ok, 1 config error, 2 solver error, 3 partial scan.
 """
@@ -42,8 +43,9 @@ import numpy as np
 
 from .model import AggregateSpec, LorentzianBath, huang_rhys_to_gamma
 from .propagation import PropagationConfig, PropagationError, default_time_step
-from .pseudomode import converge_caps, default_nu_grid, krylov_correlation
-from .spectra import CorrelationTrace, TraceTailError, absorption_from_trace, overlap
+from .spectra import (
+    CorrelationTrace, TraceTailError, absorption_from_trace, default_nu_grid, overlap,
+)
 from .zofe import propagate_zofe_lanes
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "run_spectrum",
@@ -276,6 +278,15 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         if any(c < 0 for c in caps):
             raise ConfigError("pm_caps must be >= 0")
         pm_caps = (caps[0], caps[-1])
+    if method != "zofe":
+        from . import pseudomode
+
+        if pm_caps is not None:
+            budget = pseudomode.DEFAULT_MAX_STATES
+            dim = agg.n_monomers * pseudomode.count_occupation_vectors(
+                sum(len(t) for t in bath.terms), *pm_caps)
+            if dim > budget:
+                raise ConfigError(f"pm_caps: {pseudomode.BasisSizeError(dim, budget)}")
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not pm_tolerance > 0:
         raise ConfigError("pm_tolerance must be positive")
@@ -311,10 +322,12 @@ def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
     once.  Auto caps run the cap ladder and return the trace of the rung it
     accepts, which the ladder has already computed.
     """
+    from . import pseudomode
+
     if cfg.pm_caps is not None:
-        return cfg.pm_caps, krylov_correlation(agg, cfg.bath, cfg.propagation,
-                                               caps=cfg.pm_caps)
-    b_tot, b_mode, trace = converge_caps(
+        return cfg.pm_caps, pseudomode.krylov_correlation(agg, cfg.bath, cfg.propagation,
+                                                          caps=cfg.pm_caps)
+    b_tot, b_mode, trace = pseudomode.converge_caps(
         agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu,
     )
     return (b_tot, b_mode), trace

@@ -37,12 +37,13 @@ bilinear form x^T y, started from the real psi0, keeps three vectors and
 builds an m x m complex-symmetric tridiagonal T with
 M(t) ~= mu_tot^2 e1^T exp(T t) e1 (Saad, SIAM J. Numer. Anal. 29, 209
 (1992)).  ``krylov_correlation`` evaluates it from the eigen-decomposition of
-T on the doubling grid of ``propagate_pm`` and deepens the recursion 32, 64,
-128, ... until two depths agree.  G = -1j*H - D has its numerical range in
-Re <= 0, so a Ritz value with Re > 0 is a Lanczos ghost, not an eigenvalue
-of G, and is dropped.  A Ritz value that carries weight past the Nyquist
-frequency pi / (2 dt) of the grid is an error: the spectrum would show that
-weight at a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
+T on the doubling grid of ``propagate_pm`` and deepens the recursion 32, 40,
+48, 64, 80, ... (4, 5 and 6 times each power of two) until two consecutive
+depths agree.  G = -1j*H - D has its numerical range in Re <= 0, so a Ritz
+value with Re > 0 is a Lanczos ghost, not an eigenvalue of G, and is
+dropped.  A Ritz value that carries weight past the Nyquist frequency
+pi / (2 dt) of the grid is an error: the spectrum would show that weight at
+a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .model import (
     initial_bright_state,
 )
 from .propagation import PropagationConfig, PropagationError
-from .spectra import CorrelationTrace, absorption_from_trace, overlap
+from .spectra import CorrelationTrace, absorption_from_trace, default_nu_grid, overlap
 
 __all__ = [
     "BasisSizeError",
@@ -75,14 +76,16 @@ __all__ = [
     "pm_correlation",
     "krylov_correlation",
     "converge_caps",
-    "default_nu_grid",
 ]
 
 DEFAULT_MAX_STATES = 2_000_000
 
-# Lanczos depths tried in turn; a depth is accepted when its trace agrees with
-# the previous depth's within _KRYLOV_TOL * mu_tot^2 at every sample.
-_KRYLOV_DEPTHS = (32, 64, 128, 256, 512, 1024)
+# Lanczos depths tried in turn: 4, 5 and 6 times each power of two, so the
+# recursion stops one step of at most 4/3 past the depth it converges at (a
+# doubling ladder overshot by 2x, and eig(T) costs the cube of the depth).  A
+# depth is accepted when its trace agrees with the previous depth's within
+# _KRYLOV_TOL * mu_tot^2 at every sample.
+_KRYLOV_DEPTHS = (32, 40, 48, 64, 80, 96, 128, 160, 192, 256, 320, 384, 512, 640, 768, 1024)
 _KRYLOV_TOL = 1e-10
 # |M(t)| may exceed M(0) = mu_tot^2 by this relative amount (rounding) only
 _GROWTH_TOL = 1e-9
@@ -95,8 +98,6 @@ _GHOST_RE = 1e-12
 _ALIAS_WEIGHT = 1e-6
 # samples evaluated per block of exp(t lambda)
 _BLOCK = 256
-# step of default_nu_grid
-_NU_STEP = 0.01
 
 
 class BasisSizeError(PropagationError):
@@ -594,22 +595,3 @@ def converge_caps(
             if value >= target:
                 return prev[0], prev[0], prev[1]
         prev = (cap, trace, spectrum)
-
-
-def default_nu_grid(agg: AggregateSpec, bath: LorentzianBath):
-    """Frequency grid of step 0.01 generously covering the aggregate
-    absorption support."""
-    eps_lo = float(np.min(agg.epsilon))
-    eps_hi = float(np.max(agg.epsilon))
-    v = abs(agg.coupling_v)
-    reorg = 0.0
-    max_center = 0.0
-    for monomer_terms in bath.terms:
-        r = sum(g / c if c > 0 else g for g, c, _ in monomer_terms)
-        reorg = max(reorg, r)
-        for _, center, _ in monomer_terms:
-            max_center = max(max_center, center)
-    lo = eps_lo - 2.0 * v - reorg - 2.0
-    hi = eps_hi + 2.0 * v + 3.0 * reorg + 3.0 * max_center + 2.0
-    n = int(np.floor((hi - lo) / _NU_STEP)) + 1
-    return lo + _NU_STEP * np.arange(n)

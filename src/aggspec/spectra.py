@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import AggregateSpec, build_system_hamiltonian, initial_bright_state
+from .model import AggregateSpec, LorentzianBath, build_system_hamiltonian, initial_bright_state
 from .propagation import PropagationConfig
 
 __all__ = [
@@ -35,7 +35,11 @@ __all__ = [
     "overlap",
     "cumulant_oracle",
     "markov_oracle",
+    "default_nu_grid",
 ]
+
+# step of default_nu_grid
+_NU_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -292,3 +296,22 @@ def markov_oracle(agg: AggregateSpec, theta, config: PropagationConfig) -> Corre
         psi = step @ psi
         samples[k + 1] = mu_sq * np.vdot(psi0, psi)
     return CorrelationTrace(dt=config.dt, samples=samples, mu_tot_sq=mu_sq)
+
+
+def default_nu_grid(agg: AggregateSpec, bath: LorentzianBath):
+    """Frequency grid of step 0.01 generously covering the aggregate
+    absorption support."""
+    eps_lo = float(np.min(agg.epsilon))
+    eps_hi = float(np.max(agg.epsilon))
+    v = abs(agg.coupling_v)
+    reorg = 0.0
+    max_center = 0.0
+    for monomer_terms in bath.terms:
+        r = sum(g / c if c > 0 else g for g, c, _ in monomer_terms)
+        reorg = max(reorg, r)
+        for _, center, _ in monomer_terms:
+            max_center = max(max_center, center)
+    lo = eps_lo - 2.0 * v - reorg - 2.0
+    hi = eps_hi + 2.0 * v + 3.0 * reorg + 3.0 * max_center + 2.0
+    n = int(np.floor((hi - lo) / _NU_STEP)) + 1
+    return lo + _NU_STEP * np.arange(n)

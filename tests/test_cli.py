@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from aggspec import pseudomode
-from aggspec import cli
 from aggspec.cli import (
     _TSV_CHUNK,
     ConfigError,
@@ -400,8 +399,7 @@ v_steps = 3
         calls.append((agg.coupling_v, caps))
         return original(agg, bath, config, caps=caps, **kwargs)
 
-    for module in (pseudomode, cli):
-        monkeypatch.setattr(module, "krylov_correlation", counted)
+    monkeypatch.setattr(pseudomode, "krylov_correlation", counted)
     assert run_vscan(cfg, tmp_path / "1", threads=1)[1] == 0
     assert calls == [(-0.4, cap) for cap in (1, 2, 4, 8, 16)] + [(0.0, (8, 8)), (0.4, (8, 8))]
     assert (tmp_path / "1" / "overlap.tsv").read_bytes() == \
@@ -438,6 +436,16 @@ def test_main_exit_codes(tmp_path):
                  "--method", "zofe"]) == 0
     assert (tmp_path / "g" / "spectrum_zofe.tsv").exists()
     assert not (tmp_path / "g" / "spectrum_pm.tsv").exists()
+
+
+def test_over_budget_explicit_caps_are_a_config_error(tmp_path, capsys):
+    # 2 x 2,003,001 states at caps 2000: rejected while loading, before the
+    # ZOFE side runs, for every command that would build the basis
+    path = write_cfg(tmp_path, VSCAN_CFG.replace("pm_caps = 12 12", "pm_caps = 2000"))
+    for command in ("spectrum", "vscan"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 1
+        assert "4006002 states, exceeding the budget" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_unstable_pseudomode_step_exits_2_without_nan_rows(tmp_path):
@@ -513,3 +521,20 @@ def test_cli_import_does_not_load_scipy_linalg():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_zofe_only_run_does_not_load_scipy_sparse(tmp_path):
+    # only the pseudomode side needs scipy.sparse, whose import costs a run
+    # about 0.2 s and 20 MB; the default nu grid comes from spectra
+    text = "\n".join(line for line in MONOMER_CFG.splitlines() if not line.startswith("nu_"))
+    path = write_cfg(tmp_path, text)
+    code = (
+        "import sys; from aggspec.cli import load_scenario, run_spectrum; "
+        f"run_spectrum(load_scenario({str(path)!r}, 'zofe'), {str(tmp_path / 'out')!r}); "
+        "print('scipy.sparse' in sys.modules, 'aggspec.pseudomode' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False False"
+    assert (tmp_path / "out" / "spectrum_zofe.tsv").exists()

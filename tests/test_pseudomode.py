@@ -451,16 +451,48 @@ def test_doubling_identity_property(problem):
     assert np.max(np.abs(doubled.samples - direct.samples[::2])) <= 1e-12 * mu_tot_sq
 
 
-def test_krylov_depth_ladder_matches_a_deeper_recursion(monkeypatch):
-    # this trimer converges at depth 256 (128 and 256 agree); the trace stays
-    # within the 1e-10 tolerance of the depth-512 one
-    agg = AggregateSpec.equal_parallel(3, coupling_v=1.5)
-    bath = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
+FIG1A_TRIMER_BATH = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
+
+
+@pytest.mark.parametrize(
+    "n_monomers, v, bath, caps",
+    [
+        (2, -0.425, DIMER_BATH, 12),
+        (3, 1.5, FIG1A_TRIMER_BATH, 8),
+        (3, 1.5, FIG1A_TRIMER_BATH, 16),
+        (2, 1.5, six_term_bath(2), 6),  # dim 37,128
+    ],
+    ids=["dimer-0.425", "trimer-caps8", "trimer-caps16", "sixterm-caps6"],
+)
+def test_krylov_depth_ladder_matches_a_deeper_recursion(n_monomers, v, bath, caps,
+                                                        monkeypatch):
+    # the ladder accepts a depth once it agrees with the one before (48 to
+    # 160 here); the accepted trace stays within the 1e-10 tolerance of a
+    # depth-384 one
+    agg = AggregateSpec.equal_parallel(n_monomers, coupling_v=v)
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
-    accepted = krylov_correlation(agg, bath, cfg, caps=8)
-    monkeypatch.setattr(pseudomode, "_KRYLOV_DEPTHS", (256, 512))
-    deep = krylov_correlation(agg, bath, cfg, caps=8)
+    accepted = krylov_correlation(agg, bath, cfg, caps=caps)
+    monkeypatch.setattr(pseudomode, "_KRYLOV_DEPTHS", (320, 384))
+    deep = krylov_correlation(agg, bath, cfg, caps=caps)
     assert np.max(np.abs(accepted.samples - deep.samples)) <= 1e-10 * accepted.mu_tot_sq
+
+
+def test_krylov_depth_ladder_stops_near_the_converged_depth():
+    # the fig3a trimer at caps 8 and V = 1.5 is accepted at depth 96, which
+    # agrees with 80; a doubling ladder confirms 128 at depth 256
+    agg = AggregateSpec.equal_parallel(3, coupling_v=1.5)
+    matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(
+        agg, FIG1A_TRIMER_BATH, 8, pseudomode.DEFAULT_MAX_STATES)
+
+    class Counted:
+        matvecs = 0
+
+        def __matmul__(self, v):
+            Counted.matvecs += 1
+            return matrix @ v
+
+    _lanczos_trace(Counted(), psi0, PropagationConfig(dt=0.01, t_max=150.0), mu_tot_sq)
+    assert Counted.matvecs <= 128
 
 
 def test_lanczos_rejects_amplifying_generator():
