@@ -24,7 +24,6 @@ from .model import (
     LorentzianBath,
     bath_correlation,
     build_system_hamiltonian,
-    gamma_to_huang_rhys,
     huang_rhys_to_gamma,
     initial_bright_state,
     spectral_density,

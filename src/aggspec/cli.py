@@ -7,13 +7,15 @@ cannot silently change a run.  Blocks:
   [aggregate]  n_monomers, epsilon, coupling_v, dipoles, polarization
   [bath]       huang_rhys or gamma_amp, omega, gamma   (parallel lists,
                replicated for every monomer; omit the block for no coupling)
-  [run]        method, dt, t_max, eta, nu_min/nu_max/nu_step, pm_caps,
+  [run]        method, dt, t_max, eta, nu_min/nu_max/nu_step, pm_caps (the
+               cap on the total occupation of all modes, or auto),
                pm_tolerance, v_values
   [scan]       v_min, v_max, v_steps, keep_spectra
 
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
 ``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``);
-``converge`` certifies pseudomode caps and writes the converged spectrum.
+``converge`` certifies the pseudomode cap, writes it to converged_caps.tsv
+and writes the converged spectrum.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
 numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +69,7 @@ class ScenarioConfig:
     propagation: PropagationConfig
     eta: float
     nu: np.ndarray
-    pm_caps: tuple | None  # None means auto (converge_caps)
+    pm_caps: int | None  # None means auto (converge_caps)
     pm_tolerance: float
     v_values: tuple | None
     scan: tuple | None  # (v_min, v_max, v_steps)
@@ -115,9 +118,12 @@ def _read_blocks(text, source):
 
 def _floats(value, context):
     try:
-        return [float(tok) for tok in value.split()]
-    except ValueError as exc:
-        raise ConfigError(f"{context}: expected numbers, got '{value}'") from exc
+        nums = [float(tok) for tok in value.split()]
+        if all(map(math.isfinite, nums)):
+            return nums
+    except ValueError:
+        pass
+    raise ConfigError(f"{context}: expected finite numbers, got '{value}'")
 
 
 def _float(value, context):
@@ -184,14 +190,11 @@ def _build_bath(block, n_monomers):
     strengths = _floats(block["huang_rhys" if has_x else "gamma_amp"], "bath strengths")
     if not len(strengths) == len(omega) == len(gamma):
         raise ConfigError("[bath]: huang_rhys/gamma_amp, omega and gamma must have equal lengths")
-    terms = []
-    for s, om, gm in zip(strengths, omega, gamma):
-        amp = huang_rhys_to_gamma(s, om) if has_x else s
-        if amp == 0.0:
-            continue  # zero-strength terms carry no coupling
-        terms.append((amp, om, gm))
     try:
-        return LorentzianBath.uniform(n_monomers, terms)
+        terms = [(huang_rhys_to_gamma(s, om) if has_x else s, om, gm)
+                 for s, om, gm in zip(strengths, omega, gamma)]
+        # zero-strength terms carry no coupling
+        return LorentzianBath.uniform(n_monomers, [t for t in terms if t[0] != 0.0])
     except ValueError as exc:
         raise ConfigError(f"[bath]: {exc}") from exc
 
@@ -271,22 +274,21 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
     if caps_spec == "auto":
         pm_caps = None
     else:
-        values = caps_spec.split()
-        if len(values) not in (1, 2):
-            raise ConfigError("pm_caps: expected 'auto', one cap, or 'b_tot b_mode'")
-        caps = [_int(v, "pm_caps") for v in values]
-        if any(c < 0 for c in caps):
+        # one cap; a repeated one ("12 12", the retired per-mode form) is that cap
+        caps = {_int(v, "pm_caps") for v in caps_spec.split()}
+        if len(caps) != 1:
+            raise ConfigError(f"pm_caps: expected 'auto' or one cap, got '{caps_spec}'")
+        pm_caps = caps.pop()
+        if pm_caps < 0:
             raise ConfigError("pm_caps must be >= 0")
-        pm_caps = (caps[0], caps[-1])
     if method != "zofe":
         from . import pseudomode
 
         if pm_caps is not None:
-            budget = pseudomode.DEFAULT_MAX_STATES
             dim = agg.n_monomers * pseudomode.count_occupation_vectors(
-                sum(len(t) for t in bath.terms), *pm_caps)
-            if dim > budget:
-                raise ConfigError(f"pm_caps: {pseudomode.BasisSizeError(dim, budget)}")
+                sum(len(t) for t in bath.terms), pm_caps)
+            if dim > pseudomode.DEFAULT_MAX_STATES:
+                raise ConfigError(f"pm_caps: {pseudomode.BasisSizeError(dim)}")
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not pm_tolerance > 0:
         raise ConfigError("pm_tolerance must be positive")
@@ -316,7 +318,7 @@ def _write_tsv(path, header, columns):
 
 
 def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
-    """((b_tot, b_mode), trace) of the pseudomode side of one coupling.
+    """(caps, trace) of the pseudomode side of one coupling.
 
     Every trace comes from ``krylov_correlation``.  Explicit caps compute it
     once.  Auto caps run the cap ladder and return the trace of the rung it
@@ -327,10 +329,9 @@ def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
     if cfg.pm_caps is not None:
         return cfg.pm_caps, pseudomode.krylov_correlation(agg, cfg.bath, cfg.propagation,
                                                           caps=cfg.pm_caps)
-    b_tot, b_mode, trace = pseudomode.converge_caps(
+    return pseudomode.converge_caps(
         agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu,
     )
-    return (b_tot, b_mode), trace
 
 
 def _write_trace_and_spectrum(out, method, suffix, trace, cfg: ScenarioConfig):
@@ -471,18 +472,16 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
 
 
 def run_converge(cfg: ScenarioConfig, out_dir):
-    """Certify pseudomode caps and write the converged spectrum and trace."""
+    """Certify the pseudomode cap; write it, the converged spectrum and trace."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the ladder runs even when the scenario gives explicit caps
-    (b_tot, b_mode), trace = _pm_caps_and_trace(
-        cfg.aggregate, dataclasses.replace(cfg, pm_caps=None)
-    )
+    caps, trace = _pm_caps_and_trace(cfg.aggregate, dataclasses.replace(cfg, pm_caps=None))
     written = [
-        _write_tsv(out / "converged_caps.tsv", ("b_tot", "b_mode"), ([b_tot], [b_mode])),
+        _write_tsv(out / "converged_caps.tsv", ("caps",), ([caps],)),
         *_write_trace_and_spectrum(out, "pm", "", trace, cfg),
     ]
-    print(f"converged caps: b_tot = {b_tot}, b_mode = {b_mode}")
+    print(f"converged caps: {caps}")
     return written
 
 

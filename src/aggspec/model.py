@@ -33,7 +33,6 @@ __all__ = [
     "bath_correlation",
     "spectral_density",
     "huang_rhys_to_gamma",
-    "gamma_to_huang_rhys",
 ]
 
 
@@ -280,12 +279,3 @@ def huang_rhys_to_gamma(x, omega):
     if not omega > 0:
         raise ValueError("omega must be positive")
     return float(x) * float(omega) ** 2
-
-
-def gamma_to_huang_rhys(gamma_amp, omega):
-    """Huang-Rhys factor X = Gamma / Omega**2 (inverse of huang_rhys_to_gamma)."""
-    if gamma_amp < 0:
-        raise ValueError("gamma_amp must be >= 0")
-    if not omega > 0:
-        raise ValueError("omega must be positive")
-    return float(gamma_amp) / float(omega) ** 2

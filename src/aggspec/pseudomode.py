@@ -2,8 +2,10 @@
 
 One damped auxiliary mode per Lorentzian of the spectral density is pulled
 into the propagated space.  Basis states pair an excited-monomer index n with
-an occupation vector beta over all (monomer, mode) slots; in that basis the
-non-Hermitian generator G of  d c/dt = G c  has per component c[n, beta]:
+an occupation vector beta over all (monomer, mode) slots whose total
+occupation sum(beta) is at most one cap (the truncation of the
+zero-temperature HOPS hierarchy); in that basis the non-Hermitian generator
+G of  d c/dt = G c  has per component c[n, beta]:
 
   * diagonal  -1j*(eps_n + sum_mj (Omega_mj - 1j*gamma_mj) beta_mj),
   * ladder    +1j*sqrt(Gamma_nj)*sqrt(beta_nj)   to beta_nj - 1   and
@@ -22,8 +24,9 @@ n * n_vectors + rank(beta), so every electronic state n owns one copy of the
 block.  Assembly finds its targets by index: a hop is i -> i + n_vectors,
 and a ladder step of slot s lowers beta_s within the block of the slot's own
 monomer, to the row given by the lexicographic rank of beta - e_s (from the
-count table).  The CSR arrays of G are written in place: the diagonal and
-each link once in each direction, then a sort within each row.
+closed-form count C(r + k, k) of the vectors over k slots with sum <= r).
+The CSR arrays of G are written in place: the diagonal and each link once
+in each direction, then a sort within each row.
 
 Because the initial bright state is real for real dipoles and G is complex
 symmetric, exp(G t) is symmetric too, so the correlation value at 2t follows
@@ -52,6 +55,7 @@ import contextlib
 import ctypes
 import functools
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse
@@ -63,7 +67,7 @@ from .model import (
     initial_bright_state,
 )
 from .propagation import PropagationConfig, PropagationError
-from .spectra import CorrelationTrace, absorption_from_trace, default_nu_grid, overlap
+from .spectra import CorrelationTrace, absorption_from_trace, overlap
 
 __all__ = [
     "BasisSizeError",
@@ -101,13 +105,13 @@ _BLOCK = 256
 
 
 class BasisSizeError(PropagationError):
-    """The requested basis would exceed the configured memory budget."""
+    """The requested basis would exceed the budget of DEFAULT_MAX_STATES."""
 
-    def __init__(self, dim, max_states):
+    def __init__(self, dim):
         self.dim = dim
-        self.max_states = max_states
+        self.max_states = DEFAULT_MAX_STATES
         super().__init__(
-            f"basis would hold {dim} states, exceeding the budget of {max_states}"
+            f"basis would hold {dim} states, exceeding the budget of {self.max_states}"
         )
 
 
@@ -119,34 +123,26 @@ class CapConvergenceError(PropagationError):
         super().__init__(message)
 
 
-def _count_table(n_slots, b_tot, b_mode):
-    """Row k: exact running sums [0, c(0), c(0) + c(1), ...] of c(r), the
-    number of vectors over k slots with sum <= r and entries <= b_mode."""
-    # zero slots: only the empty vector, whose sum 0 is <= every r
-    sums = list(itertools.accumulate([1] * (b_tot + 1), initial=0))
-    table = [sums]
-    for _ in range(n_slots):
-        # the first of the slots holds v <= min(b_mode, r); the rest sum to <= r - v
-        counts = [sums[r + 1] - sums[max(0, r - b_mode)] for r in range(b_tot + 1)]
-        sums = list(itertools.accumulate(counts, initial=0))
-        table.append(sums)
-    return table
+def _count_table(n_slots, cap):
+    """Row k < n_slots, entry i: C(i + k, k + 1), the number of vectors over
+    k + 1 slots with sum < i, for i up to cap + 1."""
+    return np.array([[math.comb(i + k, k + 1) for i in range(cap + 2)]
+                     for k in range(n_slots)], dtype=np.int64)
 
 
-def count_occupation_vectors(n_slots: int, b_tot: int, b_mode: int) -> int:
-    """Number of occupation vectors with entry cap b_mode and sum cap b_tot."""
-    if b_tot < 0 or b_mode < 0:
+def count_occupation_vectors(n_slots: int, cap: int) -> int:
+    """Number of occupation vectors over n_slots slots with sum <= cap."""
+    if cap < 0:
         raise ValueError("caps must be >= 0")
-    last = _count_table(n_slots, b_tot, b_mode)[-1]
-    return last[-1] - last[-2]
+    return math.comb(cap + n_slots, n_slots)
 
 
-def _ranks(occupations, table, b_tot):
-    """Lexicographic rank of each occupation row among all vectors within the
-    caps of ``table`` (an int64 array of ``_count_table``)."""
+def _ranks(occupations, table, cap):
+    """Lexicographic rank of each occupation row among all vectors with sum
+    <= cap (``table`` from ``_count_table``)."""
     n_slots = occupations.shape[1]
     ranks = np.zeros(len(occupations), dtype=np.int64)
-    left = np.full(len(occupations), b_tot + 1)  # sum budget still open, + 1
+    left = np.full(len(occupations), cap + 1)  # sum budget still open, + 1
     after = np.empty_like(left)  # the budget left after slot s
     for s in range(n_slots):
         # vectors that agree before slot s and hold less in it come first
@@ -158,36 +154,32 @@ def _ranks(occupations, table, b_tot):
     return ranks
 
 
-def enumerate_basis(
-    n_monomers: int,
-    modes_per_monomer,
-    b_tot: int,
-    b_mode: int,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> np.ndarray:
-    """The occupation block: every beta within the caps, exactly once.
+def enumerate_basis(n_monomers: int, modes_per_monomer, cap: int) -> np.ndarray:
+    """The occupation block: every beta with sum(beta) <= cap, exactly once.
 
     Returns a read-only int32 array of shape (n_vectors, n_slots), one
     occupation vector per row in lexicographic order; basis state (n, row k)
     has index n * n_vectors + k.  ``beta`` runs over all modes of all
-    monomers (n_slots = sum(modes_per_monomer)); sum(beta) <= b_tot and each
-    entry <= b_mode.  Raises BasisSizeError with the projected dimension
-    n_monomers * n_vectors if it would exceed ``max_states``.
+    monomers (n_slots = sum(modes_per_monomer)).  Raises BasisSizeError with
+    the projected dimension n_monomers * n_vectors if it would exceed
+    ``DEFAULT_MAX_STATES``.
     """
     n_slots = int(sum(modes_per_monomer))
-    n_vectors = count_occupation_vectors(n_slots, b_tot, b_mode)
+    n_vectors = count_occupation_vectors(n_slots, cap)
     dim = n_monomers * n_vectors
-    if dim > max_states:
-        raise BasisSizeError(dim, max_states)
-    table = np.array(_count_table(n_slots, b_tot, b_mode), dtype=np.int64)
+    if dim > DEFAULT_MAX_STATES:
+        raise BasisSizeError(dim)
+    if not n_slots:
+        cap = 0  # every cap gives just the empty vector, and cap may not fit int32
     occupations = np.empty((n_vectors, n_slots), dtype=np.int32)
     # Fan the prefixes out slot by slot into one per value of the next slot,
     # in increasing order.  In lexicographic order a prefix heads one row per
     # completion within the budget it leaves, so its value repeats that often.
-    completions = np.diff(table, axis=1)  # [k, r]: vectors over k slots within budget r
-    left = np.array([b_tot], dtype=np.int32)  # sum budget each prefix leaves open
+    # [k, r]: vectors over k slots within budget r
+    completions = np.diff(_count_table(n_slots, cap))
+    left = np.array([cap], dtype=np.int32)  # sum budget each prefix leaves open
     for s in range(n_slots):
-        fan = np.minimum(left, b_mode) + 1
+        fan = left + 1
         value = np.arange(fan.sum(), dtype=np.int32)
         value -= np.repeat(np.cumsum(fan, dtype=np.int32) - fan, fan)
         left = np.repeat(left, fan)
@@ -198,13 +190,13 @@ def enumerate_basis(
 
 
 def assemble_generator(
-    agg: AggregateSpec, bath: LorentzianBath, occupations, b_tot: int, b_mode: int
+    agg: AggregateSpec, bath: LorentzianBath, occupations, cap: int
 ) -> scipy.sparse.csr_matrix:
     """Sparse generator G (CSR; matvec only) over the basis of
-    ``occupations``, the block ``enumerate_basis`` returns at caps (b_tot,
-    b_mode): state (n, row k) is index n * n_vectors + k.
+    ``occupations``, the block ``enumerate_basis`` returns at ``cap``: state
+    (n, row k) is index n * n_vectors + k.
 
-    Ladder transitions that leave the caps are dropped (hard truncation).
+    Ladder transitions that leave the cap are dropped (hard truncation).
     The CSR arrays are written in place: the diagonal and each link once in
     each direction, then sorted within each row.
     """
@@ -212,13 +204,13 @@ def assemble_generator(
         raise ValueError("bath must provide a term list per monomer")
     terms = BathTerms.from_bath(bath)
     occupations = np.asarray(occupations)
-    n_vectors = count_occupation_vectors(terms.count, b_tot, b_mode)
+    n_vectors = count_occupation_vectors(terms.count, cap)
     if occupations.shape != (n_vectors, terms.count):
         raise ValueError(
             f"occupation block of shape {occupations.shape} does not match the "
-            f"bath and caps ({b_tot}, {b_mode}): expected ({n_vectors}, {terms.count})"
+            f"bath and cap {cap}: expected ({n_vectors}, {terms.count})"
         )
-    table = np.array(_count_table(terms.count, b_tot, b_mode), dtype=np.int64)
+    table = _count_table(terms.count, cap)
     dim = agg.n_monomers * n_vectors
 
     # The off-diagonal links (i, j, s), each entering G at (i, j) and (j, i).
@@ -232,7 +224,7 @@ def assemble_generator(
         lowered[:, s] -= 1
         offset = owner * n_vectors
         links.append(((upper + offset).astype(np.int32),
-                      (_ranks(lowered, table, b_tot) + offset).astype(np.int32), s))
+                      (_ranks(lowered, table, cap) + offset).astype(np.int32), s))
     if agg.coupling_v != 0.0:
         hop = np.arange(dim - n_vectors, dtype=np.int32)
         links.append((hop, hop + n_vectors, None))
@@ -353,13 +345,10 @@ def _checked_trace(dt, samples, mu_tot_sq):
     return CorrelationTrace(dt=dt, samples=samples, mu_tot_sq=mu_tot_sq)
 
 
-def _generator_and_state(agg, bath, caps, max_states):
-    """(G as CSR, embedded bright state, mu_tot^2) at ``caps``: (b_tot,
-    b_mode) or a single int for both."""
-    b_tot, b_mode = (caps, caps) if isinstance(caps, (int, np.integer)) else caps
-    modes = [len(t) for t in bath.terms]
-    occupations = enumerate_basis(agg.n_monomers, modes, b_tot, b_mode, max_states)
-    matrix = assemble_generator(agg, bath, occupations, b_tot, b_mode)
+def _generator_and_state(agg, bath, caps):
+    """(G as CSR, embedded bright state, mu_tot^2) at the occupation cap."""
+    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], caps)
+    matrix = assemble_generator(agg, bath, occupations, caps)
     psi0, mu_tot = initial_bright_state(agg)
     return matrix, embed_initial_state(psi0, len(occupations)), mu_tot**2
 
@@ -368,17 +357,16 @@ def pm_correlation(
     agg: AggregateSpec,
     bath: LorentzianBath,
     config: PropagationConfig,
-    caps,
+    caps: int,
     doubling: bool = True,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> CorrelationTrace:
     """Convenience wrapper: enumerate, assemble, embed and propagate (RK4).
 
-    ``caps`` is (b_tot, b_mode) or a single int for both.  The bright state
+    ``caps`` caps the total occupation of all mode slots.  The bright state
     is real (AggregateSpec stores real dipoles), so the default ``doubling``
     always applies.
     """
-    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
+    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps)
     return propagate_pm(
         matrix, psi0_embedded, config, mu_tot_sq=mu_tot_sq, doubling=doubling
     )
@@ -434,8 +422,7 @@ def krylov_correlation(
     agg: AggregateSpec,
     bath: LorentzianBath,
     config: PropagationConfig,
-    caps,
-    max_states: int = DEFAULT_MAX_STATES,
+    caps: int,
 ) -> CorrelationTrace:
     """The trace of ``pm_correlation`` from a complex-symmetric Lanczos
     recursion instead of RK4 steps.
@@ -446,7 +433,7 @@ def krylov_correlation(
     converges, if the trace grows above M(0) = mu_tot^2, or if 2*dt aliases
     a Ritz value with weight.
     """
-    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps, max_states)
+    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps)
     return _lanczos_trace(matrix, psi0_embedded, config, mu_tot_sq)
 
 
@@ -553,38 +540,35 @@ def converge_caps(
     bath: LorentzianBath,
     config: PropagationConfig,
     tolerance: float,
-    eta: float = 0.01,
-    nu=None,
-    max_states: int = DEFAULT_MAX_STATES,
+    eta: float,
+    nu,
 ):
-    """Smallest cap on the doubling ladder whose spectrum overlaps the next
-    ladder step by at least 100 * (1 - tolerance) percent.
+    """Smallest cap on the doubling ladder whose spectrum (damping ``eta``,
+    grid ``nu``) overlaps the next ladder step by at least 100 * (1 -
+    tolerance) percent.
 
     Each rung's trace comes from ``krylov_correlation``.  The ladder is
     1, 2, 4, 8, ...; a bath without coupling terms converges
-    trivially at cap 0.  Returns (b_tot, b_mode, trace) for the accepted
-    (smaller) cap, with b_mode = b_tot.  Raises CapConvergenceError,
-    reporting the last two overlap values, if the memory budget is hit first.
+    trivially at cap 0.  Returns (caps, trace) for the accepted (smaller)
+    cap.  Raises CapConvergenceError, reporting the last two overlap
+    values, if the budget ``DEFAULT_MAX_STATES`` is hit first.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
-    if nu is None:
-        nu = default_nu_grid(agg, bath)
     target = 100.0 * (1.0 - tolerance)
     if not any(bath.terms):
         # no electron-vibration coupling: every cap spans the same basis, so
         # the ladder is trivially converged at zero occupation
-        trace = krylov_correlation(agg, bath, config, caps=0, max_states=max_states)
-        return 0, 0, trace
+        return 0, krylov_correlation(agg, bath, config, caps=0)
     overlaps = []
     prev = None  # (cap, trace, spectrum)
     for cap in (2**k for k in itertools.count()):
         try:
-            trace = krylov_correlation(agg, bath, config, caps=cap, max_states=max_states)
+            trace = krylov_correlation(agg, bath, config, caps=cap)
         except BasisSizeError as exc:
             raise CapConvergenceError(
                 f"cap ladder needs {exc.dim} states at cap {cap}, over the budget "
-                f"of {max_states}; last overlaps: "
+                f"of {exc.max_states}; last overlaps: "
                 + (", ".join(f"{o:.4f}%" for o in overlaps[-2:]) or "none"),
                 overlaps,
             ) from exc
@@ -593,5 +577,5 @@ def converge_caps(
             value = overlap(prev[2], spectrum)
             overlaps.append(value)
             if value >= target:
-                return prev[0], prev[0], prev[1]
+                return prev[0], prev[1]
         prev = (cap, trace, spectrum)

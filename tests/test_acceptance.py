@@ -278,9 +278,9 @@ def test_criterion_10_six_lorentzian_reduced():
         # ladder-certify the caps at this coupling (>= 99% self-consistency),
         # then evaluate one rung above the accepted cap: strictly more
         # converged, still inside the reduced-cap budget
-        b_tot, _, _ = converge_caps(agg, bath, RUN, 1e-2, eta=ETA, nu=nu)
-        caps_used.append(b_tot + 1)
-        pm_trace = krylov_correlation(agg, bath, RUN, caps=b_tot + 1)
+        caps, _ = converge_caps(agg, bath, RUN, 1e-2, eta=ETA, nu=nu)
+        caps_used.append(caps + 1)
+        pm_trace = krylov_correlation(agg, bath, RUN, caps=caps + 1)
         overlaps.append(
             overlap(spectrum_of(zofe_trace, nu=nu), spectrum_of(pm_trace, nu=nu))
         )

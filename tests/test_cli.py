@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ eta = 0.02
 nu_min = -4
 nu_max = 6
 nu_step = 0.01
-pm_caps = 10 10
+pm_caps = 10
 """
 
 STICK_CFG = """
@@ -63,7 +64,7 @@ eta = 0.1
 nu_min = -2
 nu_max = 2
 nu_step = 0.002
-pm_caps = 0 0
+pm_caps = 0
 """
 
 VSCAN_CFG = """
@@ -85,7 +86,7 @@ eta = 0.01
 nu_min = -5
 nu_max = 8
 nu_step = 0.01
-pm_caps = 12 12
+pm_caps = 12
 
 [scan]
 v_min = 0
@@ -151,7 +152,7 @@ def test_scenario_fields(tmp_path):
     assert cfg.method == "both"
     assert cfg.aggregate.n_monomers == 1
     assert cfg.bath.terms[0][0] == (0.64, 1.0, 0.25)
-    assert cfg.pm_caps == (10, 10)
+    assert cfg.pm_caps == 10
     assert cfg.nu[0] == pytest.approx(-4.0)
     assert cfg.nu[-1] == pytest.approx(6.0)
     # 0.6 / 0.1 is 5.999999999999999 in floating point; nu_max stays on the grid
@@ -282,7 +283,7 @@ eta = 0
 nu_min = -2
 nu_max = 2
 nu_step = 0.01
-pm_caps = 0 0
+pm_caps = 0
 
 [scan]
 v_min = -0.5
@@ -309,12 +310,13 @@ def test_keep_spectra_writes_per_point_files(tmp_path):
 
 
 def test_converge_subcommand_writes_caps(tmp_path):
-    text = MONOMER_CFG.replace("pm_caps = 10 10", "pm_caps = auto")
+    text = MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")
     cfg = load_scenario(write_cfg(tmp_path, text))
     out = tmp_path / "out"
     run_converge(cfg, out)
+    assert (out / "converged_caps.tsv").read_text().splitlines()[0] == "# caps"
     caps = read_tsv(out / "converged_caps.tsv")
-    assert caps.shape == (1, 2)
+    assert caps.shape == (1, 1)
     assert caps[0, 0] >= 2
     assert (out / "spectrum_pm.tsv").exists()
 
@@ -351,7 +353,7 @@ pm_tolerance = 1e-3
 
     def counted(agg, bath, config, caps, **kwargs):
         # basis size at this rung: three monomers, one mode slot each
-        dims.append(agg.n_monomers * pseudomode.count_occupation_vectors(3, caps, caps))
+        dims.append(agg.n_monomers * pseudomode.count_occupation_vectors(3, caps))
         return original(agg, bath, config, caps=caps, **kwargs)
 
     monkeypatch.setattr(pseudomode, "krylov_correlation", counted)
@@ -401,7 +403,7 @@ v_steps = 3
 
     monkeypatch.setattr(pseudomode, "krylov_correlation", counted)
     assert run_vscan(cfg, tmp_path / "1", threads=1)[1] == 0
-    assert calls == [(-0.4, cap) for cap in (1, 2, 4, 8, 16)] + [(0.0, (8, 8)), (0.4, (8, 8))]
+    assert calls == [(-0.4, cap) for cap in (1, 2, 4, 8, 16)] + [(0.0, 8), (0.4, 8)]
     assert (tmp_path / "1" / "overlap.tsv").read_bytes() == \
         (tmp_path / "2" / "overlap.tsv").read_bytes()
 
@@ -420,8 +422,17 @@ def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
 
 
 def test_main_exit_codes(tmp_path):
-    bad = write_cfg(tmp_path, MONOMER_CFG.replace("eta =", "etaa ="), "bad.cfg")
-    assert main(["spectrum", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    # config errors, found before anything is written: a typo, non-finite
+    # numbers, and a Huang-Rhys bath with X < 0 or omega <= 0
+    for i, (old, new) in enumerate((
+        ("eta =", "etaa ="), ("eta = 0.02", "eta = nan"), ("dt = 0.01", "dt = nan"),
+        ("t_max = 120", "t_max = inf"), ("huang_rhys = 0.64", "huang_rhys = -0.64"),
+        ("omega = 1.0", "omega = 0"),
+    )):
+        bad = write_cfg(tmp_path, MONOMER_CFG.replace(old, new), "bad.cfg")
+        out = tmp_path / f"bad{i}"
+        assert main(["spectrum", "--config", str(bad), "--out", str(out)]) == 1, new
+        assert not out.exists(), new
     # ringing guard: undamped electronic line with eta = 0 cannot be transformed
     ring = write_cfg(
         tmp_path,
@@ -441,11 +452,35 @@ def test_main_exit_codes(tmp_path):
 def test_over_budget_explicit_caps_are_a_config_error(tmp_path, capsys):
     # 2 x 2,003,001 states at caps 2000: rejected while loading, before the
     # ZOFE side runs, for every command that would build the basis
-    path = write_cfg(tmp_path, VSCAN_CFG.replace("pm_caps = 12 12", "pm_caps = 2000"))
+    path = write_cfg(tmp_path, VSCAN_CFG.replace("pm_caps = 12", "pm_caps = 2000"))
     for command in ("spectrum", "vscan"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 1
         assert "4006002 states, exceeding the budget" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+
+def test_pm_caps_is_one_cap_counted_without_tables(tmp_path, monkeypatch, capsys):
+    text = (Path(__file__).resolve().parents[1] / "configs" / "fig1b_monomer.cfg").read_text()
+    # a repeated cap reads as that cap; two different ones (the retired
+    # per-mode form) are a config error
+    path = write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 12 12"))
+    assert load_scenario(path).pm_caps == 12
+    path = write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 8 4"))
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "pm_caps: expected 'auto' or one cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # cap 10^6 gives 1,000,001 states, over a budget of 10^6: counted as a
+    # binomial and rejected without a table of cap entries
+    monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 10**6)
+    path = write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 1000000"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="1000001 states, exceeding the budget"):
+            load_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_unstable_pseudomode_step_exits_2_without_nan_rows(tmp_path):

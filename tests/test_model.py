@@ -9,7 +9,6 @@ from aggspec.model import (
     LorentzianBath,
     bath_correlation,
     build_system_hamiltonian,
-    gamma_to_huang_rhys,
     huang_rhys_to_gamma,
     initial_bright_state,
     spectral_density,
@@ -198,15 +197,6 @@ def test_huang_rhys_conversion_examples():
         huang_rhys_to_gamma(-0.1, 1.0)
     with pytest.raises(ValueError):
         huang_rhys_to_gamma(0.5, 0.0)
-
-
-def test_huang_rhys_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        x = float(rng.uniform(0.0, 3.0))
-        om = float(rng.uniform(0.05, 4.0))
-        back = gamma_to_huang_rhys(huang_rhys_to_gamma(x, om), om)
-        assert back == pytest.approx(x, rel=4e-16, abs=0.0)
 
 
 def test_spectral_density_fourier_transform_gives_correlation():

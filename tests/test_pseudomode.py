@@ -19,23 +19,22 @@ from aggspec.pseudomode import (
     assemble_generator,
     converge_caps,
     count_occupation_vectors,
-    default_nu_grid,
     embed_initial_state,
     enumerate_basis,
     krylov_correlation,
     pm_correlation,
     propagate_pm,
 )
-from aggspec.spectra import absorption_from_trace, cumulant_oracle, overlap
+from aggspec.spectra import absorption_from_trace, cumulant_oracle, default_nu_grid, overlap
 
 DIMER_BATH = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
 
 
-def brute_force_occupations(n_slots, b_tot, b_mode):
+def brute_force_occupations(n_slots, cap):
     return {
         beta
-        for beta in itertools.product(range(b_mode + 1), repeat=n_slots)
-        if sum(beta) <= b_tot
+        for beta in itertools.product(range(cap + 1), repeat=n_slots)
+        if sum(beta) <= cap
     }
 
 
@@ -53,51 +52,48 @@ def rows(block):
     return [tuple(row) for row in block.tolist()]
 
 
-def build(agg, bath, b_tot, b_mode):
-    """(occupation block, G) at caps (b_tot, b_mode)."""
-    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], b_tot, b_mode)
-    return occupations, assemble_generator(agg, bath, occupations, b_tot, b_mode)
+def build(agg, bath, cap):
+    """(occupation block, G) at ``cap``."""
+    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], cap)
+    return occupations, assemble_generator(agg, bath, occupations, cap)
 
 
 @pytest.mark.parametrize(
-    "n_monomers, modes, b_tot, b_mode, expected",
+    "n_monomers, modes, cap, expected",
     [
-        (2, [1, 1], 2, 2, 12),   # 2 x 6 occupation vectors
-        (1, [1], 0, 0, 1),
-        (3, [1, 1, 1], 1, 1, 12),  # 3 x 4 occupation vectors
+        (2, [1, 1], 2, 12),   # 2 x 6 occupation vectors
+        (1, [1], 0, 1),
+        (3, [1, 1, 1], 1, 12),  # 3 x 4 occupation vectors
     ],
 )
-def test_enumeration_counts(n_monomers, modes, b_tot, b_mode, expected):
-    block = enumerate_basis(n_monomers, modes, b_tot, b_mode)
+def test_enumeration_counts(n_monomers, modes, cap, expected):
+    block = enumerate_basis(n_monomers, modes, cap)
     assert n_monomers * len(block) == expected and block.shape[1] == sum(modes)
-    brute = brute_force_occupations(sum(modes), b_tot, b_mode)
+    brute = brute_force_occupations(sum(modes), cap)
     assert set(rows(block)) == brute
     assert len(set(rows(block))) == len(block)
-    assert count_occupation_vectors(sum(modes), b_tot, b_mode) == len(brute)
+    assert count_occupation_vectors(sum(modes), cap) == len(brute)
 
 
 def test_enumeration_order_is_lexicographic():
-    for n_monomers, modes, b_tot, b_mode in ((2, [1, 1], 1, 1), (3, [2, 0, 1], 4, 2)):
-        block = enumerate_basis(n_monomers, modes, b_tot, b_mode)
-        assert rows(block) == sorted(brute_force_occupations(sum(modes), b_tot, b_mode))
+    for n_monomers, modes, cap in ((2, [1, 1], 1), (3, [2, 0, 1], 4)):
+        block = enumerate_basis(n_monomers, modes, cap)
+        assert rows(block) == sorted(brute_force_occupations(sum(modes), cap))
 
 
-def test_enumeration_respects_per_mode_cap():
-    brute = brute_force_occupations(2, 4, 2)
-    assert set(rows(enumerate_basis(1, [2], 4, 2))) == brute
-
-
-def test_budget_error_reports_dimension():
+def test_budget_error_reports_dimension(monkeypatch):
+    monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 1000)
     with pytest.raises(BasisSizeError) as err:
-        enumerate_basis(2, [6, 6], 8, 8, max_states=1000)
-    assert err.value.dim == 2 * count_occupation_vectors(12, 8, 8)
+        enumerate_basis(2, [6, 6], 8)
+    assert err.value.dim == 2 * count_occupation_vectors(12, 8)
+    assert err.value.max_states == 1000
 
 
 def test_generator_two_level_hand_assembly():
     eps, gamma_amp, center, width = 0.3, 0.64, 1.0, 0.25
     agg = AggregateSpec.equal_parallel(1, epsilon=eps)
     bath = LorentzianBath.uniform(1, [(gamma_amp, center, width)])
-    _, matrix = build(agg, bath, 1, 1)
+    _, matrix = build(agg, bath, 1)
     g = np.sqrt(gamma_amp)
     expected = np.array(
         [
@@ -110,7 +106,7 @@ def test_generator_two_level_hand_assembly():
 
 def test_hamiltonian_part_symmetric_and_damping_diagonal():
     agg = AggregateSpec.equal_parallel(2, epsilon=[0.1, -0.1], coupling_v=0.44)
-    occupations, matrix = build(agg, DIMER_BATH, 3, 3)
+    occupations, matrix = build(agg, DIMER_BATH, 3)
     a = matrix.toarray()
     hamiltonian = -a.imag
     assert np.array_equal(hamiltonian, hamiltonian.T)
@@ -122,7 +118,7 @@ def test_hamiltonian_part_symmetric_and_damping_diagonal():
 def test_sparsity_bound_per_row():
     agg = AggregateSpec.equal_parallel(3, coupling_v=0.44)
     bath = LorentzianBath.from_huang_rhys(3, [0.4, 0.2], [1.0, 1.5], [0.25, 0.3])
-    _, csr = build(agg, bath, 3, 3)
+    _, csr = build(agg, bath, 3)
     modes_per_monomer = 2
     bound = 2 * modes_per_monomer + 2 + 1
     row_counts = np.diff(csr.indptr)
@@ -132,7 +128,7 @@ def test_sparsity_bound_per_row():
 def test_gamma_zero_generator_is_anti_hermitian_and_conserves_norm():
     agg = AggregateSpec.equal_parallel(1)
     bath = LorentzianBath.uniform(1, [(0.64, 1.0, 0.0)])
-    occupations, matrix = build(agg, bath, 10, 10)
+    occupations, matrix = build(agg, bath, 10)
     a = matrix.toarray()
     assert_allclose(a, -a.conj().T, atol=1e-15)
     psi0, _ = initial_bright_state(agg)
@@ -145,7 +141,7 @@ def test_gamma_zero_generator_is_anti_hermitian_and_conserves_norm():
 
 def test_norm_monotone_with_damping():
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    occupations, matrix = build(agg, DIMER_BATH, 8, 8)
+    occupations, matrix = build(agg, DIMER_BATH, 8)
     # log-norm condition: the Hermitian part of the generator is <= 0
     a = matrix.toarray()
     herm = (a + a.conj().T) / 2
@@ -174,7 +170,7 @@ def test_doubling_matches_direct_propagation():
 def test_doubling_requires_real_initial_state():
     agg = AggregateSpec.equal_parallel(1)
     bath = LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25)
-    occupations, matrix = build(agg, bath, 4, 4)
+    occupations, matrix = build(agg, bath, 4)
     psi0 = embed_initial_state(np.array([1j]), len(occupations))
     with pytest.raises(PropagationError, match="doubling requires real"):
         propagate_pm(matrix, psi0, PropagationConfig(dt=0.01, t_max=1.0), doubling=True)
@@ -237,23 +233,23 @@ TWO_MODE_BATH = LorentzianBath.from_huang_rhys(3, [0.4, 0.2], [0.93, 1.37], [0.2
 @pytest.mark.parametrize(
     "agg, bath, caps",
     [
-        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.44), TWO_MODE_BATH, (3, 2)),
-        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.0), TWO_MODE_BATH, (3, 2)),
-        (AggregateSpec.equal_parallel(1, 0.3), LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25), (300, 300)),
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.44), TWO_MODE_BATH, 3),
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.0), TWO_MODE_BATH, 3),
+        (AggregateSpec.equal_parallel(1, 0.3), LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25), 300),
         # 42 slots: a mixed-radix key over all slots would not fit in int64
-        (AggregateSpec.equal_parallel(7, coupling_v=0.44), six_term_bath(7), (1, 1)),
+        (AggregateSpec.equal_parallel(7, coupling_v=0.44), six_term_bath(7), 1),
     ],
     ids=["trimer-two-modes", "trimer-v0", "monomer-caps300", "chain7-sixterm"],
 )
 def test_generator_matches_dense_reference(agg, bath, caps):
-    occupations, matrix = build(agg, bath, *caps)
+    occupations, matrix = build(agg, bath, caps)
     assert np.array_equal(matrix.toarray(), dense_reference(agg, bath, occupations))
 
 
 @st.composite
 def small_bases(draw, max_terms=3, max_caps=4):
     """A small aggregate (V = 0 or not) and bath (up to ``max_terms`` per
-    monomer) with caps (b_tot, b_mode) up to ``max_caps`` each."""
+    monomer) with a cap up to ``max_caps``."""
     n = draw(st.integers(1, 3))
     real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
     term = st.tuples(real(0.01, 2.0), real(-2.0, 2.0), real(0.0, 1.0))
@@ -262,8 +258,7 @@ def small_bases(draw, max_terms=3, max_caps=4):
         n, draw(st.lists(real(-1.0, 1.0), min_size=n, max_size=n)),
         draw(st.one_of(st.just(0.0), real(-1.0, 1.0))),
     )
-    caps = draw(st.integers(0, max_caps)), draw(st.integers(0, max_caps))
-    return agg, LorentzianBath(tuple(tuple(t) for t in terms)), caps
+    return agg, LorentzianBath(tuple(tuple(t) for t in terms)), draw(st.integers(0, max_caps))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -272,7 +267,7 @@ def test_in_place_csr_equals_coo_reference(problem):
     # the CSR written in place holds the arrays scipy's COO -> CSR conversion
     # gives for the same entries, in canonical format
     agg, bath, caps = problem
-    occupations, matrix = build(agg, bath, *caps)
+    occupations, matrix = build(agg, bath, caps)
     i, j, values = reference_entries(agg, bath, occupations)
     reference = scipy.sparse.coo_matrix((values, (i, j)), shape=matrix.shape).tocsr()
     assert matrix.has_canonical_format
@@ -293,7 +288,7 @@ def traced_peak(build):
 def test_enumeration_peak_memory_stays_near_the_basis():
     # six-term dimer at caps 6: 18,564 occupation vectors, written into one
     # array, without fanned-out copies of it
-    block, peak = traced_peak(lambda: enumerate_basis(2, [6, 6], 6, 6))
+    block, peak = traced_peak(lambda: enumerate_basis(2, [6, 6], 6))
     assert block.shape == (18564, 12)
     assert peak <= 1.75 * block.nbytes
 
@@ -301,17 +296,27 @@ def test_enumeration_peak_memory_stays_near_the_basis():
 def test_assembly_peak_memory_stays_near_the_csr():
     # the CSR arrays are written once, without COO copies of the entries
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    block = enumerate_basis(2, [6, 6], 6, 6)
-    csr, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), block, 6, 6))
+    block = enumerate_basis(2, [6, 6], 6)
+    csr, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), block, 6))
     assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
+
+
+def test_basis_without_mode_slots_does_not_allocate_by_cap():
+    # without bath terms every cap spans the electronic states alone, so a
+    # huge one (past int32, too) costs no table of cap entries
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.3)
+    bath = LorentzianBath.uniform(2, [])
+    (block, matrix), peak = traced_peak(lambda: build(agg, bath, 2**40))
+    assert block.shape == (1, 0) and matrix.shape == (2, 2)
+    assert peak < 2**20
 
 
 def test_converge_caps_trivial_for_empty_bath():
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.3)
     bath = LorentzianBath.uniform(2, [])
     cfg = PropagationConfig(dt=0.01, t_max=120.0)
-    b_tot, b_mode, trace = converge_caps(agg, bath, cfg, 1e-3, eta=0.1)
-    assert (b_tot, b_mode) == (0, 0)
+    caps, trace = converge_caps(agg, bath, cfg, 1e-3, eta=0.1, nu=default_nu_grid(agg, bath))
+    assert caps == 0
     assert trace.samples[0] == pytest.approx(trace.mu_tot_sq)
 
 
@@ -319,10 +324,10 @@ def test_converge_caps_dimer_and_stability_under_cap_increase():
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
     nu = default_nu_grid(agg, DIMER_BATH)
-    b_tot, b_mode, trace = converge_caps(agg, DIMER_BATH, cfg, 1e-3, nu=nu)
-    assert b_tot == b_mode >= 2
+    caps, trace = converge_caps(agg, DIMER_BATH, cfg, 1e-3, eta=0.01, nu=nu)
+    assert caps >= 2
     spec = absorption_from_trace(trace, 0.01, nu)
-    bigger = pm_correlation(agg, DIMER_BATH, cfg, caps=b_tot + 2)
+    bigger = pm_correlation(agg, DIMER_BATH, cfg, caps=caps + 2)
     spec_bigger = absorption_from_trace(bigger, 0.01, nu)
     assert overlap(spec, spec_bigger) >= 99.8
 
@@ -330,30 +335,32 @@ def test_converge_caps_dimer_and_stability_under_cap_increase():
 def test_converge_caps_grow_with_coupling_strength():
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
-    caps_small, _, _ = converge_caps(agg, DIMER_BATH, cfg, 1e-3)
     strong = LorentzianBath.from_huang_rhys(2, 1.2, 1.0, 0.25)
-    caps_large, _, _ = converge_caps(agg, strong, cfg, 1e-3)
+    caps_small, caps_large = (
+        converge_caps(agg, bath, cfg, 1e-3, 0.01, default_nu_grid(agg, bath))[0]
+        for bath in (DIMER_BATH, strong))
     assert caps_large >= caps_small
 
 
-def test_converge_caps_budget_failure_reports_overlaps():
+def test_converge_caps_budget_failure_reports_overlaps(monkeypatch):
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
-    with pytest.raises(CapConvergenceError, match="budget"):
-        converge_caps(agg, DIMER_BATH, cfg, 1e-9, max_states=40)
+    monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 40)
+    with pytest.raises(CapConvergenceError, match="budget of 40; last overlaps: [0-9.]+%"):
+        converge_caps(agg, DIMER_BATH, cfg, 1e-9, 0.01, default_nu_grid(agg, DIMER_BATH))
 
 
 def test_pm_state_and_index_types():
     # one read-only int32 occupation row per vector; state (n, row k) is
     # index n * n_vectors + k
-    block = enumerate_basis(2, [1, 1], 1, 1)
+    block = enumerate_basis(2, [1, 1], 1)
     assert block.dtype == np.int32 and not block.flags.writeable
     assert rows(block) == [(0, 0), (0, 1), (1, 0)]
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    matrix = assemble_generator(agg, DIMER_BATH, block, 1, 1)
+    matrix = assemble_generator(agg, DIMER_BATH, block, 1)
     assert isinstance(matrix, scipy.sparse.csr_matrix) and matrix.shape == (6, 6)
     with pytest.raises(ValueError, match="does not match the bath"):
-        assemble_generator(agg, DIMER_BATH, block[:, :1], 1, 1)
+        assemble_generator(agg, DIMER_BATH, block[:, :1], 1)
     psi = embed_initial_state(np.array([0.6, 0.8]), len(block))
     # exactly the vacuum row of each block carries the electronic amplitude
     assert np.flatnonzero(psi).tolist() == [0, 3]
@@ -362,12 +369,12 @@ def test_pm_state_and_index_types():
 
 def test_assembly_rejects_a_block_that_does_not_match_its_caps():
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    block = enumerate_basis(2, [1, 1], 2, 2)
-    for caps in ((1, 1), (2, 1), (3, 3)):
-        with pytest.raises(ValueError, match="does not match the bath and caps"):
-            assemble_generator(agg, DIMER_BATH, block, *caps)
-    with pytest.raises(ValueError, match="does not match the bath and caps"):
-        assemble_generator(agg, DIMER_BATH, block[:-1], 2, 2)
+    block = enumerate_basis(2, [1, 1], 2)
+    for cap in (1, 3):
+        with pytest.raises(ValueError, match="does not match the bath and cap"):
+            assemble_generator(agg, DIMER_BATH, block, cap)
+    with pytest.raises(ValueError, match="does not match the bath and cap"):
+        assemble_generator(agg, DIMER_BATH, block[:-1], 2)
 
 
 def assert_krylov_matches_rk4(agg, bath, cfg, caps, min_overlap=None):
@@ -443,8 +450,7 @@ def test_doubling_identity_property(problem):
     # R, so the doubled trace is the direct one at t = 2k dt up to rounding
     agg, bath, caps = problem
     cfg = PropagationConfig(dt=0.01, t_max=5.0)
-    matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(
-        agg, bath, caps, pseudomode.DEFAULT_MAX_STATES)
+    matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(agg, bath, caps)
     doubled = propagate_pm(matrix, psi0, cfg, mu_tot_sq, doubling=True)
     direct = propagate_pm(matrix, psi0, cfg, mu_tot_sq, doubling=False)
     assert doubled.dt == 2 * direct.dt
@@ -481,8 +487,7 @@ def test_krylov_depth_ladder_stops_near_the_converged_depth():
     # the fig3a trimer at caps 8 and V = 1.5 is accepted at depth 96, which
     # agrees with 80; a doubling ladder confirms 128 at depth 256
     agg = AggregateSpec.equal_parallel(3, coupling_v=1.5)
-    matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(
-        agg, FIG1A_TRIMER_BATH, 8, pseudomode.DEFAULT_MAX_STATES)
+    matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(agg, FIG1A_TRIMER_BATH, 8)
 
     class Counted:
         matvecs = 0
@@ -498,7 +503,7 @@ def test_krylov_depth_ladder_stops_near_the_converged_depth():
 def test_lanczos_rejects_amplifying_generator():
     # G + 0.1 I is not dissipative: |M(t)| would rise above M(0) = mu^2
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
-    occupations, matrix = build(agg, DIMER_BATH, 12, 12)
+    occupations, matrix = build(agg, DIMER_BATH, 12)
     psi0 = embed_initial_state(initial_bright_state(agg)[0], len(occupations))
     amplifying = matrix + 0.1 * scipy.sparse.identity(matrix.shape[0], format="csr")
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
