@@ -25,9 +25,9 @@ the batch with a finer step over the part of its trace up to the trip (see
 ``aggspec.zofe``).  ``--threads`` splits a scan into contiguous chunks of
 lanes, one per worker process.  A lane's result does not depend on the batch
 it ran in, so the files do not depend on the split.
-The pseudomode side takes every trace from ``krylov_correlation``, a Lanczos
-recursion with no time step: dt sets only its sample grid.  ``pseudomode``
-(and with it scipy.sparse) is imported only by runs that use it.
+The pseudomode side takes every trace from the Lanczos recursion of
+``krylov_correlation``: no time step, dt sets only its sample grid.
+``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
 
 Exit codes: 0 ok, 1 config error, 2 solver error, 3 partial scan.
 """
@@ -290,8 +290,8 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
             if dim > pseudomode.DEFAULT_MAX_STATES:
                 raise ConfigError(f"pm_caps: {pseudomode.BasisSizeError(dim)}")
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
-    if not pm_tolerance > 0:
-        raise ConfigError("pm_tolerance must be positive")
+    if not 0 < pm_tolerance < 1:  # at 1 or more the first overlap would always pass
+        raise ConfigError("pm_tolerance must lie in (0, 1)")
 
     return ScenarioConfig(
         aggregate=agg, bath=bath, method=method, propagation=propagation,
@@ -320,9 +320,9 @@ def _write_tsv(path, header, columns):
 def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
     """(caps, trace) of the pseudomode side of one coupling.
 
-    Every trace comes from ``krylov_correlation``.  Explicit caps compute it
-    once.  Auto caps run the cap ladder and return the trace of the rung it
-    accepts, which the ladder has already computed.
+    Every trace is the one ``krylov_correlation`` gives.  Explicit caps
+    compute it once.  Auto caps run the cap ladder and return the trace of
+    the rung it accepts, which the ladder resumes to full precision.
     """
     from . import pseudomode
 

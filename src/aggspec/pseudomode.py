@@ -16,7 +16,7 @@ G of  d c/dt = G c  has per component c[n, beta]:
 G = -1j*H - D with a real symmetric H and a diagonal damping D >= 0, and it
 is very sparse; matrix-vector products are the only operation needed.
 Truncation is hard: ladder transitions leaving the enumerated set are
-dropped, and cap convergence is certified on a doubling ladder.
+dropped; ``converge_caps`` certifies the cap on a doubling ladder.
 
 The basis is one block of occupation vectors beta, slots ordered as in
 ``BathTerms``, in lexicographic order; state (n, beta) is index
@@ -42,11 +42,14 @@ M(t) ~= mu_tot^2 e1^T exp(T t) e1 (Saad, SIAM J. Numer. Anal. 29, 209
 (1992)).  ``krylov_correlation`` evaluates it from the eigen-decomposition of
 T on the doubling grid of ``propagate_pm`` and deepens the recursion 32, 40,
 48, 64, 80, ... (4, 5 and 6 times each power of two) until two consecutive
-depths agree.  G = -1j*H - D has its numerical range in Re <= 0, so a Ritz
-value with Re > 0 is a Lanczos ghost, not an eigenvalue of G, and is
-dropped.  A Ritz value that carries weight past the Nyquist frequency
-pi / (2 dt) of the grid is an error: the spectrum would show that weight at
-a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
+depths agree.  It can stop at a loose tolerance and resume to a tighter
+one, so a rung of the cap ladder is converged only as far as its overlap
+test needs, and the accepted rung resumes to full precision.  G = -1j*H - D
+has its numerical range in Re <= 0, so a Ritz value with Re > 0 is a
+Lanczos ghost, not an eigenvalue of G, and is dropped.  A Ritz value that
+carries weight past the Nyquist frequency pi / (2 dt) of the grid is an
+error: the spectrum would show that weight at a wrong frequency.  RK4
+(``pm_correlation``) stays the reference.
 """
 
 from __future__ import annotations
@@ -433,55 +436,79 @@ def krylov_correlation(
     converges, if the trace grows above M(0) = mu_tot^2, or if 2*dt aliases
     a Ritz value with weight.
     """
-    matrix, psi0_embedded, mu_tot_sq = _generator_and_state(agg, bath, caps)
-    return _lanczos_trace(matrix, psi0_embedded, config, mu_tot_sq)
+    return _Lanczos(*_generator_and_state(agg, bath, caps), config).trace(_KRYLOV_TOL)
 
 
-@_one_blas_thread()
-def _lanczos_trace(matrix, psi0, config: PropagationConfig, mu_tot_sq):
+class _Lanczos:
     """mu_tot^2 psi0^T exp(matrix t) psi0 on the doubling grid of
     ``propagate_pm``, from the Lanczos tridiagonal of a complex-symmetric
-    ``matrix`` and a real ``psi0``."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    if np.any(psi0.imag != 0.0):
-        raise PropagationError("the Lanczos recursion requires a real initial state")
-    spacing = 2.0 * config.dt
-    n_samples = (config.n_steps + 1) // 2 + 1
-    norm_sq = float(psi0.real @ psi0.real)
-    scale = mu_tot_sq * norm_sq
-    alpha, beta = [], []  # diagonal and off-diagonal of T
-    v_prev, v = None, psi0 / np.sqrt(norm_sq)
-    scaled = np.empty_like(v)  # the buffer of every scalar multiple of a vector
-    exact = False
-    previous = None
-    for depth in _KRYLOV_DEPTHS:
-        while not exact and len(alpha) < depth:
-            w = matrix @ v
-            size = np.linalg.norm(w)
-            if beta:
-                w -= np.multiply(beta[-1], v_prev, out=scaled)
-            alpha.append(v @ w)
-            w -= np.multiply(alpha[-1], v, out=scaled)
-            residual = np.linalg.norm(w)
-            if residual <= _LUCKY_TOL * size:
-                exact = True  # the vectors so far span an invariant subspace
-                break
-            ww = w @ w
-            if abs(ww) <= np.finfo(float).eps * residual**2:
+    ``matrix`` and a real ``psi0``.
+
+    ``trace(tol)`` deepens along _KRYLOV_DEPTHS until two consecutive depths
+    agree within tol * mu_tot^2 at every sample.  Called again with a
+    smaller tol it resumes from there, and returns the bytes that one call
+    at that tol returns.
+    """
+
+    def __init__(self, matrix, psi0, mu_tot_sq, config: PropagationConfig):
+        psi0 = np.asarray(psi0, dtype=complex)
+        if np.any(psi0.imag != 0.0):
+            raise PropagationError("the Lanczos recursion requires a real initial state")
+        self.matrix, self.mu_tot_sq = matrix, mu_tot_sq
+        self.spacing, self.n_samples = 2.0 * config.dt, (config.n_steps + 1) // 2 + 1
+        norm_sq = float(psi0.real @ psi0.real)
+        self.scale = mu_tot_sq * norm_sq
+        self.alpha, self.beta = [], []  # diagonal and off-diagonal of T
+        self.v_prev, self.v = None, psi0 / np.sqrt(norm_sq)
+        self.exact, self.depths = False, iter(_KRYLOV_DEPTHS)
+        # the trace at the depth reached, and its largest change from the one before
+        self.samples, self.change = None, np.inf
+
+    @_one_blas_thread()
+    def trace(self, tol):
+        alpha, beta = self.alpha, self.beta
+        while not (self.exact or self.change <= tol * self.mu_tot_sq):
+            depth = next(self.depths, None)
+            if depth is None:
                 raise PropagationError(
-                    f"serious breakdown of the Lanczos recursion at depth {len(alpha)}"
+                    f"Lanczos trace did not converge by depth {_KRYLOV_DEPTHS[-1]}"
                 )
-            beta.append(np.sqrt(ww))
-            w /= beta[-1]
-            v_prev, v = v, w
-        samples = _ritz_trace(alpha, beta, spacing, n_samples, scale)
-        if exact or (previous is not None
-                     and np.abs(samples - previous).max() <= _KRYLOV_TOL * mu_tot_sq):
-            return _checked_krylov_trace(spacing, samples, mu_tot_sq, scale)
-        previous = samples
-    raise PropagationError(
-        f"Lanczos trace did not converge by depth {_KRYLOV_DEPTHS[-1]}"
-    )
+            scaled = np.empty_like(self.v)  # the buffer of every scalar multiple of a vector
+            while len(alpha) < depth:
+                w = self.matrix @ self.v
+                size = np.linalg.norm(w)
+                if beta:
+                    w -= np.multiply(beta[-1], self.v_prev, out=scaled)
+                alpha.append(self.v @ w)
+                w -= np.multiply(alpha[-1], self.v, out=scaled)
+                residual = np.linalg.norm(w)
+                if residual <= _LUCKY_TOL * size:
+                    self.exact = True  # the vectors so far span an invariant subspace
+                    break
+                ww = w @ w
+                if abs(ww) <= np.finfo(float).eps * residual**2:
+                    raise PropagationError(
+                        f"serious breakdown of the Lanczos recursion at depth {len(alpha)}"
+                    )
+                beta.append(np.sqrt(ww))
+                w /= beta[-1]
+                self.v_prev, self.v = self.v, w
+            samples = _ritz_trace(alpha, beta, self.spacing, self.n_samples, self.scale)
+            if self.samples is not None:
+                self.change = np.abs(samples - self.samples).max()
+            self.samples = samples
+        # exp(G t) never increases the norm, so a trace above M(0), or an M(0)
+        # that lost weight to dropped Ritz values, by more than rounding or tol
+        # means the generator is not dissipative.  Also catches non-finite samples.
+        samples, scale = self.samples.copy(), self.scale  # a later call compares with these
+        slack = max(_GROWTH_TOL, tol)
+        if not (np.all(np.abs(samples) <= (1.0 + slack) * scale)
+                and abs(samples[0] - scale) <= slack * scale):
+            raise PropagationError(
+                "Lanczos trace grows above M(0) = mu_tot^2; the generator is not dissipative"
+            )
+        samples[0] = scale  # exp(T 0) = 1 exactly
+        return CorrelationTrace(dt=self.spacing, samples=samples, mu_tot_sq=self.mu_tot_sq)
 
 
 def _ritz_trace(alpha, beta, spacing, n_samples, scale):
@@ -521,20 +548,6 @@ def _ritz_trace(alpha, beta, spacing, n_samples, scale):
     return samples
 
 
-def _checked_krylov_trace(spacing, samples, mu_tot_sq, scale):
-    # exp(G t) never increases the norm, so |M(t)| <= M(0); a trace above
-    # M(0), or an M(0) that lost weight to dropped Ritz values, means the
-    # generator is not dissipative.  Also catches non-finite samples.
-    bound = (1.0 + _GROWTH_TOL) * scale
-    if not (np.all(np.abs(samples) <= bound)
-            and abs(samples[0] - scale) <= _GROWTH_TOL * scale):
-        raise PropagationError(
-            "Lanczos trace grows above M(0) = mu_tot^2; the generator is not dissipative"
-        )
-    samples[0] = scale  # exp(T 0) = 1 exactly
-    return CorrelationTrace(dt=spacing, samples=samples, mu_tot_sq=mu_tot_sq)
-
-
 def converge_caps(
     agg: AggregateSpec,
     bath: LorentzianBath,
@@ -543,28 +556,30 @@ def converge_caps(
     eta: float,
     nu,
 ):
-    """Smallest cap on the doubling ladder whose spectrum (damping ``eta``,
-    grid ``nu``) overlaps the next ladder step by at least 100 * (1 -
-    tolerance) percent.
+    """Smallest cap on the doubling ladder 1, 2, 4, 8, ... whose spectrum
+    (damping ``eta``, grid ``nu``) overlaps the next rung's by at least
+    100 * (1 - tolerance) percent, 0 < tolerance < 1; a bath without
+    coupling terms converges trivially at cap 0.
 
-    Each rung's trace comes from ``krylov_correlation``.  The ladder is
-    1, 2, 4, 8, ...; a bath without coupling terms converges
-    trivially at cap 0.  Returns (caps, trace) for the accepted (smaller)
-    cap.  Raises CapConvergenceError, reporting the last two overlap
-    values, if the budget ``DEFAULT_MAX_STATES`` is hit first.
+    A rung's Lanczos trace is converged only to max(_KRYLOV_TOL, 1e-3 *
+    tolerance) * mu_tot^2, for the overlap test; the accepted rung then
+    resumes to _KRYLOV_TOL, so the returned (caps, trace) holds the trace of
+    ``krylov_correlation``.  Raises CapConvergenceError, reporting the last
+    two overlap values, if the budget ``DEFAULT_MAX_STATES`` is hit first.
     """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < 1:
+        raise ValueError("tolerance must lie in (0, 1)")
     target = 100.0 * (1.0 - tolerance)
+    check = max(_KRYLOV_TOL, 1e-3 * tolerance)
     if not any(bath.terms):
         # no electron-vibration coupling: every cap spans the same basis, so
         # the ladder is trivially converged at zero occupation
         return 0, krylov_correlation(agg, bath, config, caps=0)
     overlaps = []
-    prev = None  # (cap, trace, spectrum)
+    prev = None  # (cap, recursion, spectrum)
     for cap in (2**k for k in itertools.count()):
         try:
-            trace = krylov_correlation(agg, bath, config, caps=cap)
+            rung = _Lanczos(*_generator_and_state(agg, bath, cap), config)
         except BasisSizeError as exc:
             raise CapConvergenceError(
                 f"cap ladder needs {exc.dim} states at cap {cap}, over the budget "
@@ -572,10 +587,10 @@ def converge_caps(
                 + (", ".join(f"{o:.4f}%" for o in overlaps[-2:]) or "none"),
                 overlaps,
             ) from exc
-        spectrum = absorption_from_trace(trace, eta, nu)
+        spectrum = absorption_from_trace(rung.trace(check), eta, nu)
         if prev is not None:
             value = overlap(prev[2], spectrum)
             overlaps.append(value)
             if value >= target:
-                return prev[0], prev[1]
-        prev = (cap, trace, spectrum)
+                return prev[0], prev[1].trace(_KRYLOV_TOL)
+        prev = (cap, rung, spectrum)

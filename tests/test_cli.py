@@ -323,7 +323,7 @@ def test_converge_subcommand_writes_caps(tmp_path):
 
 def test_auto_caps_spectrum_propagates_each_rung_once(tmp_path, monkeypatch):
     # spectrum with auto caps writes the trace of the rung the ladder accepts
-    # (caps 8 of 1, 2, 4, 8, 16 for this trimer) without computing it again,
+    # (caps 8 of 1, 2, 4, 8, 16 for this trimer) without building it again,
     # and the same files as converge
     text = """
 [aggregate]
@@ -349,14 +349,14 @@ pm_tolerance = 1e-3
 """
     cfg = load_scenario(write_cfg(tmp_path, text))
     dims = []
-    original = pseudomode.krylov_correlation
+    original = pseudomode._generator_and_state
 
-    def counted(agg, bath, config, caps, **kwargs):
+    def counted(agg, bath, caps):
         # basis size at this rung: three monomers, one mode slot each
         dims.append(agg.n_monomers * pseudomode.count_occupation_vectors(3, caps))
-        return original(agg, bath, config, caps=caps, **kwargs)
+        return original(agg, bath, caps)
 
-    monkeypatch.setattr(pseudomode, "krylov_correlation", counted)
+    monkeypatch.setattr(pseudomode, "_generator_and_state", counted)
     for command, run in (("converge", run_converge), ("spectrum", run_spectrum)):
         dims.clear()
         run(cfg, tmp_path / command)
@@ -395,13 +395,13 @@ v_steps = 3
     cfg = load_scenario(write_cfg(tmp_path, text))
     assert run_vscan(cfg, tmp_path / "2", threads=2)[1] == 0
     calls = []
-    original = pseudomode.krylov_correlation
+    original = pseudomode._generator_and_state
 
-    def counted(agg, bath, config, caps, **kwargs):
+    def counted(agg, bath, caps):
         calls.append((agg.coupling_v, caps))
-        return original(agg, bath, config, caps=caps, **kwargs)
+        return original(agg, bath, caps)
 
-    monkeypatch.setattr(pseudomode, "krylov_correlation", counted)
+    monkeypatch.setattr(pseudomode, "_generator_and_state", counted)
     assert run_vscan(cfg, tmp_path / "1", threads=1)[1] == 0
     assert calls == [(-0.4, cap) for cap in (1, 2, 4, 8, 16)] + [(0.0, 8), (0.4, 8)]
     assert (tmp_path / "1" / "overlap.tsv").read_bytes() == \
@@ -423,11 +423,12 @@ def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
 
 def test_main_exit_codes(tmp_path):
     # config errors, found before anything is written: a typo, non-finite
-    # numbers, and a Huang-Rhys bath with X < 0 or omega <= 0
+    # numbers, a Huang-Rhys bath with X < 0 or omega <= 0, and a ladder
+    # tolerance of 1, whose overlap target of 0% would certify cap 1
     for i, (old, new) in enumerate((
         ("eta =", "etaa ="), ("eta = 0.02", "eta = nan"), ("dt = 0.01", "dt = nan"),
         ("t_max = 120", "t_max = inf"), ("huang_rhys = 0.64", "huang_rhys = -0.64"),
-        ("omega = 1.0", "omega = 0"),
+        ("omega = 1.0", "omega = 0"), ("pm_caps = 10", "pm_caps = auto\npm_tolerance = 1"),
     )):
         bad = write_cfg(tmp_path, MONOMER_CFG.replace(old, new), "bad.cfg")
         out = tmp_path / f"bad{i}"

@@ -14,7 +14,8 @@ from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.pseudomode import (
     BasisSizeError,
     CapConvergenceError,
-    _lanczos_trace,
+    _KRYLOV_TOL,
+    _Lanczos,
     _rk4_step,
     assemble_generator,
     converge_caps,
@@ -350,6 +351,98 @@ def test_converge_caps_budget_failure_reports_overlaps(monkeypatch):
         converge_caps(agg, DIMER_BATH, cfg, 1e-9, 0.01, default_nu_grid(agg, DIMER_BATH))
 
 
+def test_converge_caps_rejects_a_tolerance_that_certifies_anything():
+    # at tolerance >= 1 the overlap target 100 * (1 - tolerance) is <= 0%
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    nu = default_nu_grid(agg, DIMER_BATH)
+    for tolerance in (1.0, 2.0, 0.0):
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            converge_caps(agg, DIMER_BATH, cfg, tolerance, 0.01, nu)
+
+
+FIG3A_TRIMER = AggregateSpec.equal_parallel(3, coupling_v=1.5)
+# the check tolerance of the ladder's rungs at its default tolerance 1e-3
+CHECK_TOL = 1e-6
+
+
+@pytest.mark.parametrize(
+    "agg, bath, caps, check_tol",
+    [
+        (FIG3A_TRIMER, LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25), 8, CHECK_TOL),
+        (AggregateSpec.equal_parallel(2, coupling_v=0.44), six_term_bath(2), 4, CHECK_TOL),
+        # stops at depth 48, which agrees with depth 40 within 1e-5 mu^2 but
+        # drops a ghost holding 1.1e-9 of M(0): more than rounding, less than
+        # the check tolerance, so not an error
+        (AggregateSpec.equal_parallel(2, coupling_v=-1.5), six_term_bath(2), 2, 1e-5),
+    ],
+    ids=["trimer-caps8", "sixterm-caps4", "sixterm-caps2-ghost"],
+)
+def test_lanczos_resumed_from_the_check_tolerance_gives_the_full_trace(agg, bath, caps,
+                                                                       check_tol):
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    rung = _Lanczos(*pseudomode._generator_and_state(agg, bath, caps), cfg)
+    rung.trace(check_tol)
+    check_depth = len(rung.alpha)
+    resumed = rung.trace(_KRYLOV_TOL)
+    assert len(rung.alpha) > check_depth
+    full = krylov_correlation(agg, bath, cfg, caps=caps)
+    assert resumed.dt == full.dt and resumed.mu_tot_sq == full.mu_tot_sq
+    assert resumed.samples.tobytes() == full.samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "agg, bath, eta",
+    [
+        # at eta = 0.01 the caps-1 rung of this dimer has not decayed by t_max
+        (AggregateSpec.equal_parallel(2, coupling_v=-0.425), DIMER_BATH, 0.02),
+        (FIG3A_TRIMER, LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25), 0.01),
+    ],
+    ids=["dimer-0.425", "trimer+1.5"],
+)
+def test_converge_caps_returns_the_full_precision_trace(agg, bath, eta):
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    caps, trace = converge_caps(agg, bath, cfg, 1e-3, eta, default_nu_grid(agg, bath))
+    full = krylov_correlation(agg, bath, cfg, caps=caps)
+    assert trace.dt == full.dt and trace.mu_tot_sq == full.mu_tot_sq
+    assert trace.samples.tobytes() == full.samples.tobytes()
+
+
+def test_converge_caps_check_rungs_are_cheap_and_keep_the_overlaps(monkeypatch):
+    # the fig3a trimer at V = 1.5 runs rungs 1 to 16 and accepts caps 8; with
+    # every rung converged to 1e-10 mu^2 that took 351 matvecs
+    bath = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    nu = default_nu_grid(FIG3A_TRIMER, bath)
+    original = pseudomode._generator_and_state
+    matvecs = []
+
+    class Counted:
+        def __init__(self, matrix):
+            self.matrix = matrix
+
+        def __matmul__(self, v):
+            matvecs.append(1)
+            return self.matrix @ v
+
+    def counted(agg, bath, caps):
+        matrix, psi0, mu_tot_sq = original(agg, bath, caps)
+        return Counted(matrix), psi0, mu_tot_sq
+
+    monkeypatch.setattr(pseudomode, "_generator_and_state", counted)
+    assert converge_caps(FIG3A_TRIMER, bath, cfg, 1e-3, 0.01, nu)[0] == 8
+    assert len(matvecs) <= 270
+    # each rung-pair overlap moves by at most 1e-5 points against full precision
+    spectra = {tol: [] for tol in (CHECK_TOL, _KRYLOV_TOL)}
+    for caps in (1, 2, 4, 8, 16):
+        rung = _Lanczos(*original(FIG3A_TRIMER, bath, caps), cfg)
+        for tol, found in spectra.items():
+            found.append(absorption_from_trace(rung.trace(tol), 0.01, nu))
+    loose, full = ([overlap(a, b) for a, b in itertools.pairwise(found)]
+                   for found in spectra.values())
+    assert np.max(np.abs(np.subtract(loose, full))) <= 1e-5
+
+
 def test_pm_state_and_index_types():
     # one read-only int32 occupation row per vector; state (n, row k) is
     # index n * n_vectors + k
@@ -496,7 +589,8 @@ def test_krylov_depth_ladder_stops_near_the_converged_depth():
             Counted.matvecs += 1
             return matrix @ v
 
-    _lanczos_trace(Counted(), psi0, PropagationConfig(dt=0.01, t_max=150.0), mu_tot_sq)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    _Lanczos(Counted(), psi0, mu_tot_sq, cfg).trace(_KRYLOV_TOL)
     assert Counted.matvecs <= 128
 
 
@@ -508,9 +602,9 @@ def test_lanczos_rejects_amplifying_generator():
     amplifying = matrix + 0.1 * scipy.sparse.identity(matrix.shape[0], format="csr")
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
     with pytest.raises(PropagationError, match="not dissipative"):
-        _lanczos_trace(amplifying, psi0, cfg, 1.0)
+        _Lanczos(amplifying, psi0, 1.0, cfg).trace(_KRYLOV_TOL)
     with pytest.raises(PropagationError, match="real initial state"):
-        _lanczos_trace(matrix, 1j * psi0, cfg, 1.0)
+        _Lanczos(matrix, 1j * psi0, 1.0, cfg)
 
 
 def test_lanczos_single_state_stops_at_lucky_breakdown():
@@ -524,7 +618,7 @@ def test_lanczos_single_state_stops_at_lucky_breakdown():
             return g * v
 
     cfg = PropagationConfig(dt=0.01, t_max=10.0)
-    trace = _lanczos_trace(Counted(), np.array([1.0]), cfg, 2.0)
+    trace = _Lanczos(Counted(), np.array([1.0]), 2.0, cfg).trace(_KRYLOV_TOL)
     assert Counted.matvecs == 1
     assert trace.dt == 0.02 and trace.samples.size == 501
     assert_allclose(trace.samples, 2.0 * np.exp(g * trace.times), rtol=1e-13, atol=0)
