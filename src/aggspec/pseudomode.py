@@ -70,7 +70,7 @@ from .model import (
     initial_bright_state,
 )
 from .propagation import PropagationConfig, PropagationError
-from .spectra import CorrelationTrace, absorption_from_trace, overlap
+from .spectra import CorrelationTrace, TraceTailError, absorption_from_trace, overlap
 
 __all__ = [
     "BasisSizeError",
@@ -561,6 +561,10 @@ def converge_caps(
     100 * (1 - tolerance) percent, 0 < tolerance < 1; a bath without
     coupling terms converges trivially at cap 0.
 
+    A rung whose trace has not decayed at t_max (TraceTailError, as a
+    low cap can at small eta) is skipped, so the accepted rung and the one
+    it is compared with both pass the tail check.
+
     A rung's Lanczos trace is converged only to max(_KRYLOV_TOL, 1e-3 *
     tolerance) * mu_tot^2, for the overlap test; the accepted rung then
     resumes to _KRYLOV_TOL, so the returned (caps, trace) holds the trace of
@@ -587,7 +591,10 @@ def converge_caps(
                 + (", ".join(f"{o:.4f}%" for o in overlaps[-2:]) or "none"),
                 overlaps,
             ) from exc
-        spectrum = absorption_from_trace(rung.trace(check), eta, nu)
+        try:
+            spectrum = absorption_from_trace(rung.trace(check), eta, nu)
+        except TraceTailError:
+            continue  # a trace that has not decayed at t_max is no candidate
         if prev is not None:
             value = overlap(prev[2], spectrum)
             overlaps.append(value)

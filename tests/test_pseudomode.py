@@ -26,7 +26,9 @@ from aggspec.pseudomode import (
     pm_correlation,
     propagate_pm,
 )
-from aggspec.spectra import absorption_from_trace, cumulant_oracle, default_nu_grid, overlap
+from aggspec.spectra import (
+    TraceTailError, absorption_from_trace, cumulant_oracle, default_nu_grid, overlap,
+)
 
 DIMER_BATH = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
 
@@ -406,6 +408,22 @@ def test_converge_caps_returns_the_full_precision_trace(agg, bath, eta):
     full = krylov_correlation(agg, bath, cfg, caps=caps)
     assert trace.dt == full.dt and trace.mu_tot_sq == full.mu_tot_sq
     assert trace.samples.tobytes() == full.samples.tobytes()
+
+
+@pytest.mark.parametrize("v", [-0.425, -1.5])
+def test_converge_caps_skips_a_rung_whose_trace_has_not_decayed(v):
+    # at eta = 0.01 the caps-1 trace of the fig1a dimer still rings at t_max
+    # (3.2e-4 and 7.5e-4 mu^2 against the 1e-4 tail bound), which used to
+    # stop the whole ladder; the rung is skipped, and the accepted rung
+    # passes its own tail check
+    agg = AggregateSpec.equal_parallel(2, coupling_v=v)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    nu = default_nu_grid(agg, DIMER_BATH)
+    with pytest.raises(TraceTailError):
+        absorption_from_trace(krylov_correlation(agg, DIMER_BATH, cfg, caps=1), 0.01, nu)
+    caps, trace = converge_caps(agg, DIMER_BATH, cfg, 1e-3, 0.01, nu)
+    assert caps >= 2
+    absorption_from_trace(trace, 0.01, nu)
 
 
 def test_converge_caps_check_rungs_are_cheap_and_keep_the_overlaps(monkeypatch):

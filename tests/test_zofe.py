@@ -13,11 +13,13 @@ from aggspec.model import (
 )
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.spectra import cumulant_oracle
+from aggspec import zofe
 from aggspec.zofe import (
     _MAX_LEVEL,
     _REFINE_MARGIN,
     BathTerms,
     _LaneRhs,
+    _mirror_layout,
     _run_lanes,
     coupling_operators,
     propagate_zofe,
@@ -213,8 +215,10 @@ def test_norm_guard_reports_dt_too_large():
     # warnings (the suite turns warnings into errors).
     agg = AggregateSpec.equal_parallel(2, coupling_v=-0.35)
     bath = LorentzianBath.from_huang_rhys(2, 1.2, 1.0, 0.25)
-    # t = 14.95 is where a whole run at dt/8 from t = 0 trips, in grid step 1494
-    with pytest.raises(PropagationError, match="at t = 14.95 with step 0.00125; dt too large"):
+    # t = 14.95 is where a whole run at dt/8 from t = 0 trips, in grid step
+    # 1494; the norm is the one of the first tripped substep
+    with pytest.raises(PropagationError, match=r"^state norm grew to 7\.58762 at t = 14\.95 "
+                       r"with step 0\.00125; dt too large$"):
         propagate_zofe(agg, bath, PropagationConfig(dt=0.01, t_max=20.0))
 
 
@@ -259,10 +263,11 @@ def test_empty_bath_is_free_electronic_evolution():
 
 
 MIXED_DIMER_BATHS = [
-    DIMER_BATH,
     LorentzianBath((((0.3, 0.5, 0.4),), ((0.9, 1.3, 0.2),))),
+    DIMER_BATH,
     LorentzianBath((((0.2, -0.4, 0.6), (0.5, 1.1, 0.3)), ())),  # ragged, same count
 ]
+TRIMER_BATH = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
 
 
 @pytest.mark.parametrize("n, bath", [
@@ -272,29 +277,72 @@ MIXED_DIMER_BATHS = [
     (2, SIX_TERM_BATH),
     (2, MIXED_DIMER_BATHS),
     (2, LorentzianBath.uniform(2, [])),
+    (3, TRIMER_BATH),
 ])
 def test_lane_rhs_matches_general_rhs(n, bath):
     # one evaluation of the packed product against the general operator form,
     # lane by lane, with a different H per lane and one bath for all lanes
-    # or one per lane
+    # or one per lane; lanes 1 and 2 have palindromic energies, so on a
+    # palindromic bath they carry only the mirror-distinct terms
     rng = np.random.default_rng(n)
-    terms = [BathTerms.from_bath(b) for b in (bath if isinstance(bath, list) else [bath] * 3)]
+    baths = bath if isinstance(bath, list) else [bath] * 3
+    terms = [BathTerms.from_bath(b) for b in baths]
     count = terms[0].count
-    hams = [build_system_hamiltonian(AggregateSpec.equal_parallel(
-        n, epsilon=rng.normal(size=n), coupling_v=v)) for v in (-0.7, 0.2, 1.1)]
+    energies = rng.normal(size=(3, n))
+    energies[1:] += energies[1:, ::-1]
+    aggs = [AggregateSpec.equal_parallel(n, epsilon=e, coupling_v=v)
+            for e, v in zip(energies, (-0.7, 0.2, 1.1))]
+    sources, flips = (np.stack(a) for a in zip(*map(_mirror_layout, aggs, baths, terms)))
+    mirrored = [b > 0 and n > 1 and count > 0 and baths[b].terms == baths[b].terms[::-1]
+                for b in range(3)]
+    assert list(flips.any(axis=1)) == mirrored
     psi = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     aux = rng.normal(size=(3, count, n, n)) + 1j * rng.normal(size=(3, count, n, n))
+    # in a mirrored lane the terms it does not carry are the images R Q R,
+    # and those of a middle monomer are their own images
+    for b in np.flatnonzero(mirrored):
+        middle = 2 * terms[b].monomer == n - 1
+        aux[b, middle] += aux[b, middle][:, ::-1, ::-1]
+    images = aux[np.arange(3)[:, None], sources][..., ::-1, ::-1]
+    aux = np.where(flips[..., None, None], images, aux)
+    carried = count - flips.sum(axis=1)
     # K = 0 keeps one inert slot to carry psi
-    state = np.zeros((3, max(count, 1), n, n + 1), dtype=complex)
-    state[:, :count, :, :n] = aux
+    state = np.zeros((3, max(*carried, 1), n, n + 1), dtype=complex)
+    for b, c in enumerate(carried):
+        state[b, :c, :, :n] = aux[b, :c]
     state[:, 0, :, n] = psi
-    deriv = _LaneRhs(np.stack([-1j * h for h in hams]), terms)(state, np.empty_like(state))
-    for b, h in enumerate(hams):
-        ref_p, ref_a = zofe_rhs(psi[b], aux[b], h, terms[b], coupling_operators(n))
+    minus_ih = np.stack([-1j * build_system_hamiltonian(agg) for agg in aggs])
+    deriv = _LaneRhs(minus_ih, terms, sources, flips)(state, np.empty_like(state))
+    for b, (agg, c) in enumerate(zip(aggs, carried)):
+        ref_p, ref_a = zofe_rhs(psi[b], aux[b], build_system_hamiltonian(agg), terms[b],
+                                coupling_operators(n))
         assert_allclose(deriv[b, 0, :, n], ref_p, rtol=0, atol=1e-14)
-        assert_allclose(deriv[b, :count, :, :n], ref_a, rtol=0, atol=1e-14)
-    # only slot 0 carries psi, and the inert slot stays at rest
-    assert not deriv[:, 1:, :, n].any() and not deriv[:, count:, :, :n].any()
+        assert_allclose(deriv[b, :c, :, :n], ref_a[:c], rtol=0, atol=1e-14)
+        # the mirror symmetry that lets the carried terms stand for all
+        assert_allclose(ref_a[flips[b]], ref_a[sources[b, flips[b]]][:, ::-1, ::-1],
+                        rtol=0, atol=1e-14)
+        # the inert slots stay at rest
+        assert not deriv[b, c:, :, :n].any()
+    # only slot 0 carries psi
+    assert not deriv[:, 1:, :, n].any()
+
+
+def test_mirror_layout_needs_palindromic_energies_and_bath():
+    # two terms per monomer on a 5-site chain: monomers 3 and 4 are the
+    # images of 1 and 0, whatever the dipoles; monomer 2 is its own image
+    bath = LorentzianBath.uniform(5, [(0.4, 1.0, 0.25), (0.2, 0.5, 0.1)])
+    terms = BathTerms.from_bath(bath)
+    dipoles = [[1, 0, 0], [0.5, 0.5, 0], [0.2, 0, 0], [1, 1, 0], [0, 0, 1]]
+    chain = AggregateSpec(5, [0.1, -0.2, 0.3, -0.2, 0.1], 0.44, dipoles, [1, 0, 1])
+    source, flip = _mirror_layout(chain, bath, terms)
+    assert list(flip) == [False] * 6 + [True] * 4
+    assert list(source) == [0, 1, 2, 3, 4, 5, 2, 3, 0, 1]
+    # a disordered chain, or a bath that differs at one end, runs every term
+    disordered = AggregateSpec(5, [0.1, -0.2, 0.3, -0.2, 0.0], 0.44, dipoles, [1, 0, 1])
+    uneven = LorentzianBath(bath.terms[:4] + (((0.4, 1.0, 0.25), (0.2, 0.5, 0.11)),))
+    for agg, b in ((disordered, bath), (chain, uneven)):
+        source, flip = _mirror_layout(agg, b, BathTerms.from_bath(b))
+        assert not flip.any() and list(source) == list(range(10))
 
 
 def test_lanes_must_share_n_and_term_count():
@@ -418,3 +466,78 @@ def test_prefix_extension_matches_a_rerun_from_zero():
     ref, level = reference_trace(agg, bath, cfg)
     assert not errors and levels[0] == level == 1
     assert np.max(np.abs(samples[0] - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("t_max", [3.42, 3.45, 3.73])
+def test_trip_in_the_last_calls_before_an_event_is_caught(t_max):
+    # V = -0.425 trips in grid step 341: with t_max = 3.42 in the last call
+    # of the run, inside a partial sampling block, which must still be
+    # guarded before the lane's run ends
+    agg = AggregateSpec.equal_parallel(2, coupling_v=-0.425)
+    cfg = PropagationConfig(dt=0.01, t_max=t_max)
+    samples, _, levels, errors, _, _ = _run_lanes([agg], DIMER_BATH, cfg)
+    ref, level = reference_trace(agg, DIMER_BATH, cfg)
+    assert not errors and levels[0] == level == 1
+    assert np.max(np.abs(samples[0] - ref)) <= 2e-12
+
+
+def test_tripped_lane_keeps_its_prefix():
+    # V = 0.433 trips in grid step 2084 and runs [0, 2184) at dt/2; by
+    # t = 26 it trips no more, by t = 30 once more after its prefix.  The
+    # samples of the prefix it resumes after are those of the shorter run,
+    # although the second trip is seen only when its block is checked
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.433)
+    runs = [_run_lanes([agg], DIMER_BATH, PropagationConfig(dt=0.01, t_max=t))
+            for t in (26.0, 30.0)]
+    assert [list(run[2]) for run in runs] == [[1], [1]]
+    once, twice = (run[0][0] for run in runs)
+    assert np.array_equal(once[:2185], twice[:2185])
+    assert not np.array_equal(once[2185:2601], twice[2185:2601])
+
+
+MIXED_TRIMER_LANES = [
+    (AggregateSpec.equal_parallel(3, coupling_v=0.44), TRIMER_BATH),
+    # the dipoles play no part in the mirror symmetry
+    (AggregateSpec(3, 0.0, -0.7, [[1, 0, 0], [0.3, 0.8, 0], [0.1, 0, 0.2]], [1, 1, 0]),
+     TRIMER_BATH),
+    (AggregateSpec.equal_parallel(3, [0.1, 0.0, -0.1], 0.44), TRIMER_BATH),
+    (AggregateSpec.equal_parallel(3, coupling_v=0.44),
+     LorentzianBath(TRIMER_BATH.terms[:2] + (((0.5, 1.1, 0.3),),))),
+]
+
+
+def test_mixed_mirrored_and_full_lanes_are_bit_identical_alone_and_in_batch():
+    # two lanes carry 2 of their 3 terms, a disordered chain and one with an
+    # uneven bath carry all 3; every lane gives the same bits alone and in
+    # the batch, and follows RK4 on the general right-hand side
+    aggs, baths = zip(*MIXED_TRIMER_LANES)
+    flips = [_mirror_layout(agg, bath, BathTerms.from_bath(bath))[1]
+             for agg, bath in MIXED_TRIMER_LANES]
+    assert [int(flip.sum()) for flip in flips] == [1, 1, 0, 0]
+    cfg = PropagationConfig(dt=0.01, t_max=6.0)
+    samples, mu_sq, levels, errors, psi, aux = _run_lanes(aggs, baths, cfg)
+    assert not errors and not levels.any()
+    for b, (agg, bath) in enumerate(MIXED_TRIMER_LANES):
+        alone = _run_lanes([agg], [bath], cfg)
+        for batched, single in zip((samples, psi, aux), (alone[0], alone[4], alone[5])):
+            assert np.array_equal(batched[b], single[0])
+        assert np.max(np.abs(samples[b] - reference_run(agg, bath, cfg))) <= 1e-13 * mu_sq[b]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_mirrored_lane_matches_the_full_term_set(n, monkeypatch):
+    # a mirrored lane returns R Q[n] R as the aux of monomer N - 1 - n, and
+    # its trace and aux agree with a run on every term up to rounding
+    bath = LorentzianBath.from_huang_rhys(n, [0.4, 0.24], [0.23, 1.29], [0.06, 0.32])
+    aggs = [AggregateSpec.equal_parallel(n, coupling_v=v) for v in (-0.7, 0.44)]
+    cfg = PropagationConfig(dt=0.01, t_max=6.0)
+    samples, mu_sq, levels, errors, _, aux = _run_lanes(aggs, bath, cfg)
+    assert not errors and not levels.any()
+    per_monomer = aux.reshape(len(aggs), n, 2, n, n)
+    for m in range(n // 2):
+        assert np.array_equal(per_monomer[:, n - 1 - m], per_monomer[:, m, :, ::-1, ::-1])
+    monkeypatch.setattr(zofe, "_mirror_layout", lambda agg, bath, terms: (
+        np.arange(terms.count), np.zeros(terms.count, dtype=bool)))
+    full_samples, _, _, _, _, full_aux = _run_lanes(aggs, bath, cfg)
+    assert np.max(np.abs(samples - full_samples)) <= 1e-13
+    assert np.max(np.abs(aux - full_aux)) <= 1e-13
