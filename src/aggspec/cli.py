@@ -308,12 +308,13 @@ def _write_tsv(path, header, columns):
     """Space-separated column names in a comment header, then one row of
     tab-separated 17-significant-digit numbers per index of ``columns``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
-    row = "\t".join(["{:.17g}"] * len(columns)) + "\n"
+    row = "\t".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as f:
         f.write("# " + " ".join(header) + "\n")
         for start in range(0, len(columns[0]), _TSV_CHUNK):
-            chunk = [c[start:start + _TSV_CHUNK].tolist() for c in columns]
-            f.write("".join(row.format(*values) for values in zip(*chunk)))
+            # one % operation per chunk: the rows' values, row after row
+            chunk = np.column_stack([c[start:start + _TSV_CHUNK] for c in columns])
+            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
     return Path(path)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "AggregateSpec",
     "LorentzianBath",
     "BathTerms",
+    "mirror_slots",
     "build_system_hamiltonian",
     "initial_bright_state",
     "bath_correlation",
@@ -202,6 +203,23 @@ class BathTerms:
     @property
     def count(self):
         return self.monomer.size
+
+
+def mirror_slots(agg: AggregateSpec, bath: LorentzianBath, terms: BathTerms):
+    """The mirror image of each flattened bath term, or None where the chain
+    has no mirror symmetry.
+
+    With palindromic site energies and per-monomer bath term lists, the site
+    reversal n -> N-1-n maps the Hamiltonian and the bath onto themselves
+    (V is uniform); term j of monomer n then has term j of monomer N-1-n as
+    its image, and the middle monomer's terms are their own.  ``terms`` is
+    ``BathTerms.from_bath(bath)``.  The dipoles are not checked.
+    """
+    if not ((agg.epsilon == agg.epsilon[::-1]).all() and bath.terms == bath.terms[::-1]):
+        return None
+    first = np.searchsorted(terms.monomer, np.arange(agg.n_monomers))
+    image = agg.n_monomers - 1 - terms.monomer
+    return first[image] + np.arange(terms.count) - first[terms.monomer]
 
 
 def build_system_hamiltonian(agg: AggregateSpec) -> np.ndarray:

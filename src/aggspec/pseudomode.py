@@ -28,6 +28,25 @@ closed-form count C(r + k, k) of the vectors over k slots with sum <= r).
 The CSR arrays of G are written in place: the diagonal and each link once
 in each direction, then a sort within each row.
 
+A chain whose site energies and per-monomer bath term lists are palindromic
+(``model.mirror_slots``; every shipped config) has G commute with the mirror
+P(n, beta) = (N-1-n, beta with the slots of monomers m and N-1-m swapped).
+If its dipole projections are palindromic too, psi0 is P-even, and so is
+its whole Krylov space.  ``_generator_and_state`` then assembles G folded
+onto the real orthonormal orbit basis, e_r for a fixed point r = P(r) and
+(e_r + e_P(r)) / sqrt(2) for a pair, r the first state of its orbit:
+
+  G_e[a, b] = (c_a / c_b) sum_{j in orbit b} G[r_a, j],   psi0_e[a] = c_a psi0[r_a],
+
+with c = sqrt(2) for a pair and 1 for a fixed point.  Only the rows r are
+written: the blocks n < N // 2 whole and, for odd N, the middle monomer's
+rows k <= P(k); a hop between a state and its own mirror partner (the two
+middle monomers of an even chain, at P(k) = k) lands on the diagonal.
+G_e = U^T G U is complex symmetric, so everything below runs on it
+unchanged and gives the same M(t) up to rounding, on half the states for
+even N and (states + fixed points) / 2 for odd N.  A disordered chain, an
+uneven bath, asymmetric dipoles or a monomer keep the full basis.
+
 Because the initial bright state is real for real dipoles and G is complex
 symmetric, exp(G t) is symmetric too, so the correlation value at 2t follows
 from the state at t alone:  M(2t) = mu_tot^2 * psi(t)^T psi(t)  (plain
@@ -68,6 +87,7 @@ from .model import (
     BathTerms,
     LorentzianBath,
     initial_bright_state,
+    mirror_slots,
 )
 from .propagation import PropagationConfig, PropagationError
 from .spectra import CorrelationTrace, TraceTailError, absorption_from_trace, overlap
@@ -140,17 +160,19 @@ def count_occupation_vectors(n_slots: int, cap: int) -> int:
     return math.comb(cap + n_slots, n_slots)
 
 
-def _ranks(occupations, table, cap):
+def _ranks(occupations, table, cap, slots=None):
     """Lexicographic rank of each occupation row among all vectors with sum
-    <= cap (``table`` from ``_count_table``)."""
-    n_slots = occupations.shape[1]
+    <= cap (``table`` from ``_count_table``), its columns read in the order
+    ``slots`` (default: as stored)."""
+    slots = range(occupations.shape[1]) if slots is None else slots
+    n_slots = len(slots)
     ranks = np.zeros(len(occupations), dtype=np.int64)
     left = np.full(len(occupations), cap + 1)  # sum budget still open, + 1
     after = np.empty_like(left)  # the budget left after slot s
-    for s in range(n_slots):
+    for s, column in enumerate(slots):
         # vectors that agree before slot s and hold less in it come first
         sums = table[n_slots - 1 - s]
-        np.subtract(left, occupations[:, s], out=after)
+        np.subtract(left, occupations[:, column], out=after)
         ranks += sums.take(left)
         ranks -= sums.take(after)
         left, after = after, left
@@ -193,7 +215,7 @@ def enumerate_basis(n_monomers: int, modes_per_monomer, cap: int) -> np.ndarray:
 
 
 def assemble_generator(
-    agg: AggregateSpec, bath: LorentzianBath, occupations, cap: int
+    agg: AggregateSpec, bath: LorentzianBath, occupations, cap: int, *, fold: bool = False
 ) -> scipy.sparse.csr_matrix:
     """Sparse generator G (CSR; matvec only) over the basis of
     ``occupations``, the block ``enumerate_basis`` returns at ``cap``: state
@@ -202,6 +224,11 @@ def assemble_generator(
     Ladder transitions that leave the cap are dropped (hard truncation).
     The CSR arrays are written in place: the diagonal and each link once in
     each direction, then sorted within each row.
+
+    With ``fold``, G is folded onto the mirror-even half of the basis
+    (module docstring), which needs a mirror-symmetric chain
+    (``mirror_slots``): row n * n_vectors + k for n < N // 2, and for odd N
+    then the middle monomer's rows k <= P(k) in increasing k.
     """
     if bath.n_monomers != agg.n_monomers:
         raise ValueError("bath must provide a term list per monomer")
@@ -214,28 +241,70 @@ def assemble_generator(
             f"bath and cap {cap}: expected ({n_vectors}, {terms.count})"
         )
     table = _count_table(terms.count, cap)
-    dim = agg.n_monomers * n_vectors
+    hop_value = -1j * agg.coupling_v
+    # whole electronic blocks, and the rows of the middle monomer's block of
+    # an odd folded chain
+    blocks, middle = agg.n_monomers, np.empty(0, dtype=np.int64)
+    if fold:
+        mirror = mirror_slots(agg, bath, terms)
+        if mirror is None:
+            raise ValueError("folding needs palindromic site energies and bath term lists")
+        image = _ranks(occupations, table, cap, mirror)  # the row of each vector's mirror image
+        k = np.arange(n_vectors)
+        blocks = agg.n_monomers // 2
+        if agg.n_monomers % 2:
+            # orbit {k, P(k)} of the middle block is row min(k, P(k)) there
+            middle = np.flatnonzero(k <= image)
+            to_middle = np.cumsum(k <= image) - 1
+            to_middle = to_middle[np.minimum(k, image)] + blocks * n_vectors
+    dim = blocks * n_vectors + middle.size
+    written = blocks + bool(middle.size)  # the electronic blocks that hold rows
 
-    # The off-diagonal links (i, j, s), each entering G at (i, j) and (j, i).
-    # A ladder step of slot s joins row k with beta_s > 0, in the block of the
-    # slot's own monomer, to the row of beta - e_s in that block; a hop, s =
-    # None, joins (n, k) to (n + 1, k).
+    # The off-diagonal links (i, j, s, value), each entering G at (i, j) and
+    # (j, i).  A ladder step of slot s joins row k with beta_s > 0, in the
+    # block of the slot's own monomer, to the row of beta - e_s in that
+    # block; a hop, s = None, joins (n, k) to (n + 1, k) with value -1j*V.
     links = []
     for s, owner in enumerate(terms.monomer):
+        if owner >= written:
+            continue  # the mirror image of a folded row's block
         upper = np.flatnonzero(occupations[:, s] > 0)
+        if owner == blocks:
+            upper = upper[upper <= image[upper]]  # one link per pair of mirror links
         lowered = occupations[upper]
         lowered[:, s] -= 1
-        offset = owner * n_vectors
-        links.append(((upper + offset).astype(np.int32),
-                      (_ranks(lowered, table, cap) + offset).astype(np.int32), s))
+        lower = _ranks(lowered, table, cap)
+        if owner == blocks:
+            upper, lower = to_middle[upper], to_middle[lower]
+        else:
+            offset = owner * n_vectors
+            upper, lower = upper + offset, lower + offset
+        links.append((upper.astype(np.int32), lower.astype(np.int32), s, None))
     if agg.coupling_v != 0.0:
-        hop = np.arange(dim - n_vectors, dtype=np.int32)
-        links.append((hop, hop + n_vectors, None))
+        hop = np.arange(max(blocks - 1, 0) * n_vectors, dtype=np.int32)
+        links.append((hop, hop + n_vectors, None, hop_value))
+        last = (blocks - 1) * n_vectors  # the last whole block of a folded chain
+        if fold and blocks and middle.size:
+            # (N // 2 - 1, k) to the middle orbit of k: sqrt(2) -1j*V to a
+            # fixed point, -1j*V from each member of a pair (one group per
+            # member, so that no group writes a row twice)
+            for side, value in ((k < image, hop_value), (k > image, hop_value),
+                                (k == image, hop_value * np.sqrt(2.0))):
+                at = np.flatnonzero(side)
+                links.append(((at + last).astype(np.int32), to_middle[at].astype(np.int32),
+                              None, value))
+        elif fold and blocks:
+            # (N/2 - 1, k) to (N/2, k), the mirror image of (N/2 - 1, P(k)):
+            # a link within the block, on the diagonal where k = P(k)
+            at = np.flatnonzero(k < image)
+            links.append(((at + last).astype(np.int32), (image[at] + last).astype(np.int32),
+                          None, hop_value))
 
-    # a ladder link changes one slot and a hop the monomer, so no (i, j)
+    # a ladder link changes the total occupation and a hop, folded or not,
+    # keeps it; no two links of a kind join the same pair, so no (i, j)
     # occurs twice and each row holds its diagonal plus one entry per link end
     counts = np.ones(dim, dtype=np.int32)
-    for i, j, _ in links:
+    for i, j, _, _ in links:
         counts[i] += 1
         counts[j] += 1
     nnz = int(counts.sum(dtype=np.int64))
@@ -250,23 +319,29 @@ def assemble_generator(
     damping = np.zeros(n_vectors)
     for z, b in zip(terms.z, occupations.T):
         damping += z.real * b
-    for n, eps in enumerate(agg.epsilon):
-        at = fill[n * n_vectors:(n + 1) * n_vectors]
-        indices[at] = np.arange(n * n_vectors, (n + 1) * n_vectors, dtype=index)
+    for n, eps in enumerate(agg.epsilon[:written]):
+        rows = middle if n == blocks else slice(None)
+        first = n * n_vectors
+        at = fill[first:first + (middle.size if n == blocks else n_vectors)]
+        indices[at] = np.arange(first, first + at.size, dtype=index)
         energy = np.full(n_vectors, eps)
         for z, b in zip(terms.z, occupations.T):
             energy += z.imag * b
         diagonal = -1j * energy
         diagonal -= damping
-        data[at] = diagonal
+        if fold and not middle.size and n == blocks - 1 and agg.coupling_v != 0.0:
+            diagonal[k == image] += hop_value
+        data[at] = diagonal[rows]
     del damping, energy, diagonal
     fill += 1
     couplings = np.sqrt(terms.gamma_amp)
-    for i, j, s in links:
-        # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of its
-        # upper row i; a hop -1j*V
-        value = -1j * agg.coupling_v if s is None else \
-            1j * couplings[s] * np.sqrt(occupations[i % n_vectors, s])
+    for i, j, s, value in links:
+        if s is not None:
+            # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of
+            # its upper row i
+            owner = terms.monomer[s]
+            rows = i - owner * n_vectors if owner < blocks else middle[i - blocks * n_vectors]
+            value = 1j * couplings[s] * np.sqrt(occupations[rows, s])
         for row, col in ((i, j), (j, i)):
             at = fill[row]
             indices[at] = col
@@ -348,12 +423,28 @@ def _checked_trace(dt, samples, mu_tot_sq):
     return CorrelationTrace(dt=dt, samples=samples, mu_tot_sq=mu_tot_sq)
 
 
+def _folds(agg, bath):
+    """Whether the bright state of ``agg`` lies in the mirror-even half of
+    the basis: a chain of two or more monomers with mirror symmetry
+    (``mirror_slots``) and palindromic dipole projections."""
+    mu = agg.mu_projections
+    return (agg.n_monomers > 1 and (mu == mu[::-1]).all()
+            and mirror_slots(agg, bath, BathTerms.from_bath(bath)) is not None)
+
+
 def _generator_and_state(agg, bath, caps):
-    """(G as CSR, embedded bright state, mu_tot^2) at the occupation cap."""
+    """(G as CSR, embedded bright state, mu_tot^2) at the occupation cap,
+    folded onto the mirror-even half of the basis where ``_folds``."""
     occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], caps)
-    matrix = assemble_generator(agg, bath, occupations, caps)
+    fold = _folds(agg, bath)
+    matrix = assemble_generator(agg, bath, occupations, caps, fold=fold)
     psi0, mu_tot = initial_bright_state(agg)
-    return matrix, embed_initial_state(psi0, len(occupations)), mu_tot**2
+    if fold:
+        # sqrt(2) psi0[n] on the pair orbit of (n, vacuum), n < N // 2, and
+        # psi0 of the middle monomer on its fixed point
+        half = agg.n_monomers // 2
+        psi0 = np.concatenate([np.sqrt(2.0) * psi0[:half], psi0[half:agg.n_monomers - half]])
+    return matrix, embed_initial_state(psi0, len(occupations))[:matrix.shape[0]], mu_tot**2
 
 
 def pm_correlation(

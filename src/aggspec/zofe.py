@@ -64,6 +64,7 @@ from .model import (
     LorentzianBath,
     build_system_hamiltonian,
     initial_bright_state,
+    mirror_slots,
 )
 from .propagation import PropagationConfig, PropagationError
 from .spectra import CorrelationTrace
@@ -128,13 +129,10 @@ def _mirror_layout(agg: AggregateSpec, bath: LorentzianBath, terms: BathTerms):
     (source, flip): term k is R Q R of carried term source[k] where flip[k],
     else carried term source[k] = k.  In any other lane no term flips.
     """
-    source, flip = np.arange(terms.count), np.zeros(terms.count, dtype=bool)
-    if np.array_equal(agg.epsilon, agg.epsilon[::-1]) and bath.terms == bath.terms[::-1]:
-        first = np.searchsorted(terms.monomer, np.arange(agg.n_monomers))
-        image = agg.n_monomers - 1 - terms.monomer
-        flip = image < terms.monomer
-        source = np.where(flip, first[image] + source - first[terms.monomer], source)
-    return source, flip
+    source, mirror = np.arange(terms.count), mirror_slots(agg, bath, terms)
+    if mirror is None:
+        return source, np.zeros(terms.count, dtype=bool)
+    return np.minimum(mirror, source), mirror < source
 
 
 class _LaneRhs:

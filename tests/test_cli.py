@@ -421,6 +421,19 @@ def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
         == "# b_tot b_mode\n8\t4\n"
 
 
+def test_write_tsv_pins_the_bytes_of_edge_values(tmp_path):
+    # non-finite values, signed zero, the smallest subnormal, the largest
+    # float and values that 17 digits do not round to a short form
+    values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1 / 3, 1e22,
+              1.7976931348623157e308, -2.5e-7, 8.0]
+    path = _write_tsv(tmp_path / "edge.tsv", ("v", "w"), (values, values[::-1]))
+    column = ["nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "0.10000000000000001",
+              "0.33333333333333331", "1e+22", "1.7976931348623157e+308",
+              "-2.4999999999999999e-07", "8"]
+    assert path.read_bytes() == ("# v w\n" + "".join(
+        f"{a}\t{b}\n" for a, b in zip(column, column[::-1]))).encode()
+
+
 def test_main_exit_codes(tmp_path):
     # config errors, found before anything is written: a typo, non-finite
     # numbers, a Huang-Rhys bath with X < 0 or omega <= 0, and a ladder

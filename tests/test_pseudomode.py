@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 import scipy.sparse
 
 from aggspec import pseudomode
-from aggspec.model import AggregateSpec, LorentzianBath, initial_bright_state
+from aggspec.model import (
+    AggregateSpec, BathTerms, LorentzianBath, initial_bright_state, mirror_slots,
+)
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.pseudomode import (
     BasisSizeError,
@@ -231,6 +233,10 @@ def dense_reference(agg, bath, occupations):
 
 # centres and widths not dyadic, so the sums pin the order of the diagonal terms
 TWO_MODE_BATH = LorentzianBath.from_huang_rhys(3, [0.4, 0.2], [0.93, 1.37], [0.23, 0.31])
+TWO_MODE_BATH_2, TWO_MODE_BATH_4 = (
+    LorentzianBath.from_huang_rhys(n, [0.4, 0.2], [0.93, 1.37], [0.23, 0.31]) for n in (2, 4)
+)
+FIG1A_CHAIN5_BATH = LorentzianBath.from_huang_rhys(5, 0.64, 1.0, 0.25)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +318,133 @@ def test_basis_without_mode_slots_does_not_allocate_by_cap():
     (block, matrix), peak = traced_peak(lambda: build(agg, bath, 2**40))
     assert block.shape == (1, 0) and matrix.shape == (2, 2)
     assert peak < 2**20
+
+
+def mirror_orbit_basis(agg, bath, occupations):
+    """One column per orbit of the mirror P, in the order of its first state
+    r: (e_r + e_P(r)) / sqrt(2) for a pair, e_r for a fixed point.  P(n, beta)
+    is (N-1-n, beta with the slots of monomers m and N-1-m swapped)."""
+    slots = mirror_slots(agg, bath, BathTerms.from_bath(bath))
+    index = {beta: k for k, beta in enumerate(rows(occupations))}
+    n, n_vectors = agg.n_monomers, len(occupations)
+    columns = []
+    for r, (m, beta) in enumerate(itertools.product(range(n), rows(occupations))):
+        image = (n - 1 - m) * n_vectors + index[tuple(beta[t] for t in slots)]
+        if r <= image:
+            column = np.zeros(n * n_vectors)
+            column[[r, image]] = 1.0
+            columns.append(column / np.linalg.norm(column))
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize(
+    "agg, bath, caps",
+    [
+        (AggregateSpec.equal_parallel(2, 0.1, 0.44), TWO_MODE_BATH_2, 3),
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.1], 0.44), TWO_MODE_BATH, 3),
+        (AggregateSpec.equal_parallel(4, [0.3, 0.0, 0.0, 0.3], -0.7), TWO_MODE_BATH_4, 2),
+        (AggregateSpec.equal_parallel(5, coupling_v=1.5), FIG1A_CHAIN5_BATH, 3),
+    ],
+    ids=["dimer", "trimer", "chain4", "chain5"],
+)
+def test_folded_generator_is_the_full_one_on_mirror_orbits(agg, bath, caps):
+    # G_e = U^T G U, U the real orthonormal orbit basis: a hop between a
+    # state and its own mirror partner (even N, the two middle monomers)
+    # lands on the diagonal, and a fixed point of the middle monomer (odd N)
+    # takes sqrt(2) -1j*V from each neighbour
+    occupations, matrix = build(agg, bath, caps)
+    folded = assemble_generator(agg, bath, occupations, caps, fold=True)
+    basis = mirror_orbit_basis(agg, bath, occupations)
+    assert folded.shape[0] == basis.shape[1]
+    assert_allclose(folded.toarray(), basis.T @ matrix.toarray() @ basis, rtol=0, atol=1e-15)
+    assert (folded != folded.T).nnz == 0  # complex symmetric, bit for bit
+
+
+def test_folding_needs_a_mirror_symmetric_chain():
+    agg = AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.44)
+    occupations = enumerate_basis(3, [2, 2, 2], 2)
+    with pytest.raises(ValueError, match="palindromic"):
+        assemble_generator(agg, TWO_MODE_BATH, occupations, 2, fold=True)
+
+
+def full_basis(monkeypatch):
+    monkeypatch.setattr(pseudomode, "_folds", lambda agg, bath: False)
+
+
+@pytest.mark.parametrize(
+    "n_monomers, v, bath, caps",
+    [
+        (2, 0.44, six_term_bath(2), 6),  # 37,128 states
+        (3, 1.5, LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25), 8),
+        (4, 0.44, LorentzianBath.from_huang_rhys(4, 0.64, 1.0, 0.25), 8),
+        (7, -1.0, LorentzianBath.from_huang_rhys(7, 0.64, 1.0, 0.25), 8),  # 45,045 states
+    ],
+    ids=["sixterm-caps6", "trimer-caps8", "chain4-caps8", "chain7-caps8"],
+)
+def test_folded_trace_matches_the_full_basis(n_monomers, v, bath, caps, monkeypatch):
+    # the bright state of a chain of identical monomers is mirror-even, so the
+    # Lanczos recursion runs on the orbit basis: half the states for even N,
+    # (full + fixed points) / 2 for odd N
+    agg = AggregateSpec.equal_parallel(n_monomers, coupling_v=v)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    occupations = enumerate_basis(n_monomers, [len(t) for t in bath.terms], caps)
+    slots = mirror_slots(agg, bath, BathTerms.from_bath(bath))
+    fixed = n_monomers % 2 * int(np.all(occupations[:, slots] == occupations, axis=1).sum())
+    assert pseudomode._generator_and_state(agg, bath, caps)[0].shape[0] == \
+        (n_monomers * len(occupations) + fixed) // 2
+    folded = krylov_correlation(agg, bath, cfg, caps)
+    full_basis(monkeypatch)
+    full = krylov_correlation(agg, bath, cfg, caps)
+    assert np.max(np.abs(folded.samples - full.samples)) <= 1e-12 * full.mu_tot_sq
+
+
+@pytest.mark.parametrize(
+    "agg, bath",
+    [
+        (AggregateSpec.equal_parallel(2, coupling_v=0.44), DIMER_BATH),
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.1], -0.6), TWO_MODE_BATH),
+    ],
+    ids=["dimer", "trimer"],
+)
+def test_folded_rk4_matches_the_full_basis(agg, bath, monkeypatch):
+    cfg = PropagationConfig(dt=0.01, t_max=20.0)
+    folded = pm_correlation(agg, bath, cfg, caps=4)
+    full_basis(monkeypatch)
+    full = pm_correlation(agg, bath, cfg, caps=4)
+    assert folded.dt == full.dt == 0.02
+    assert np.max(np.abs(folded.samples - full.samples)) <= 1e-12 * full.mu_tot_sq
+
+
+@pytest.mark.parametrize(
+    "agg, bath",
+    [
+        (AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.44), TWO_MODE_BATH),
+        (AggregateSpec.equal_parallel(3, 0.0, 0.44),
+         LorentzianBath(TWO_MODE_BATH.terms[:2] + (((0.4, 0.93, 0.23), (0.2, 1.37, 0.3)),))),
+        (AggregateSpec(3, 0.0, 0.44, [[1, 0, 0], [1, 0, 0], [0.5, 0.5, 0]], [1, 0, 0]),
+         TWO_MODE_BATH),
+        (AggregateSpec.equal_parallel(1, 0.3), LorentzianBath.from_huang_rhys(1, 0.64, 1.0, 0.25)),
+    ],
+    ids=["disordered", "uneven-bath", "asymmetric-dipoles", "monomer"],
+)
+def test_lanes_that_cannot_fold_keep_the_full_basis(agg, bath):
+    # the generator and state of the full basis, bit for bit
+    occupations, matrix = build(agg, bath, 3)
+    folded, psi0, mu_tot_sq = pseudomode._generator_and_state(agg, bath, 3)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(folded, name).tobytes() == getattr(matrix, name).tobytes()
+    bright, mu_tot = initial_bright_state(agg)
+    expected = embed_initial_state(bright, len(occupations))
+    assert psi0.tobytes() == expected.tobytes() and mu_tot_sq == mu_tot**2
+
+
+def test_folded_assembly_peak_memory_stays_near_its_csr():
+    # folded while it is assembled: the full CSR is never built
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    block = enumerate_basis(2, [6, 6], 6)
+    csr, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), block, 6, fold=True))
+    assert csr.shape == (18564, 18564)
+    assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 def test_converge_caps_trivial_for_empty_bath():
