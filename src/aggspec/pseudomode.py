@@ -58,17 +58,17 @@ Lanczos recursion (Freund, SIAM J. Sci. Stat. Comput. 13, 425 (1992)) in the
 bilinear form x^T y, started from the real psi0, keeps three vectors and
 builds an m x m complex-symmetric tridiagonal T with
 M(t) ~= mu_tot^2 e1^T exp(T t) e1 (Saad, SIAM J. Numer. Anal. 29, 209
-(1992)).  ``krylov_correlation`` evaluates it from the eigen-decomposition of
-T on the doubling grid of ``propagate_pm`` and deepens the recursion 32, 40,
-48, 64, 80, ... (4, 5 and 6 times each power of two) until two consecutive
-depths agree.  It can stop at a loose tolerance and resume to a tighter
-one, so a rung of the cap ladder is converged only as far as its overlap
-test needs, and the accepted rung resumes to full precision.  G = -1j*H - D
-has its numerical range in Re <= 0, so a Ritz value with Re > 0 is a
-Lanczos ghost, not an eigenvalue of G, and is dropped.  A Ritz value that
-carries weight past the Nyquist frequency pi / (2 dt) of the grid is an
-error: the spectrum would show that weight at a wrong frequency.  RK4
-(``pm_correlation``) stays the reference.
+(1992)).  ``krylov_correlation`` deepens the recursion in steps of 8 until
+e1^T (z - T)^-1 e1, the trace's Laplace transform (Haydock, Heine and Kelly,
+J. Phys. C 5, 2845 (1972)), settles, then eigen-decomposes T once for the
+trace on the doubling grid of ``propagate_pm``.  It can stop at a loose
+tolerance and resume to a tighter one, so a rung of the cap ladder is
+converged only as far as its overlap test needs, and the accepted rung
+resumes to full precision.  G = -1j*H - D has its numerical range in
+Re <= 0, so a Ritz value with Re > 0 is a Lanczos ghost, not an eigenvalue
+of G, and is dropped.  A Ritz value that carries weight past the Nyquist
+frequency pi / (2 dt) of the grid is an error: the spectrum would show that
+weight at a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ from .model import (
     mirror_slots,
 )
 from .propagation import PropagationConfig, PropagationError
-from .spectra import CorrelationTrace, TraceTailError, absorption_from_trace, overlap
+from .spectra import (CorrelationTrace, TraceTailError, absorption_from_trace,
+                      default_nu_grid, overlap)
 
 __all__ = [
     "BasisSizeError",
@@ -107,13 +108,13 @@ __all__ = [
 
 DEFAULT_MAX_STATES = 2_000_000
 
-# Lanczos depths tried in turn: 4, 5 and 6 times each power of two, so the
-# recursion stops one step of at most 4/3 past the depth it converges at (a
-# doubling ladder overshot by 2x, and eig(T) costs the cube of the depth).  A
-# depth is accepted when its trace agrees with the previous depth's within
-# _KRYLOV_TOL * mu_tot^2 at every sample.
-_KRYLOV_DEPTHS = (32, 40, 48, 64, 80, 96, 128, 160, 192, 256, 320, 384, 512, 640, 768, 1024)
+# Lanczos depths tried in turn; the continued-fraction test of _Lanczos costs
+# no eigen-solve, so the steps can be short
+_KRYLOV_DEPTHS = tuple(range(32, 1025, 8))
 _KRYLOV_TOL = 1e-10
+# a trace's largest change was 2.5-4.5x its weighted RMS change on dimers and
+# trimers; at 10x the 7-site chain stopped 1.3e-11 mu_tot^2 short of converged
+_CF_SAFETY = 100.0
 # |M(t)| may exceed M(0) = mu_tot^2 by this relative amount (rounding) only
 _GROWTH_TOL = 1e-9
 # a residual below this fraction of |G v| ends the recursion exactly
@@ -305,8 +306,8 @@ def assemble_generator(
     # occurs twice and each row holds its diagonal plus one entry per link end
     counts = np.ones(dim, dtype=np.int32)
     for i, j, _, _ in links:
-        counts[i] += 1
-        counts[j] += 1
+        counts += np.bincount(i, minlength=dim)
+        counts += np.bincount(j, minlength=dim)
     nnz = int(counts.sum(dtype=np.int64))
     index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(dim + 1, dtype=index)
@@ -347,6 +348,8 @@ def assemble_generator(
             indices[at] = col
             data[at] = value
             fill[row] += 1
+    if not np.array_equal(fill, indptr[1:]):  # fancy indexing wrote a repeated row once
+        raise RuntimeError("a link group repeats a row: the CSR generator lost entries")
     matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
     matrix.sort_indices()
     return matrix
@@ -522,12 +525,17 @@ def krylov_correlation(
     recursion instead of RK4 steps.
 
     The samples lie on the same grid (spacing 2*dt, (n_steps + 1)//2 + 1
-    samples); dt sets only that grid, as the exponential of T is exact.
+    samples); dt sets only that grid, as the exponential of T is exact, and
+    the depth test covers ``default_nu_grid(agg, bath)``, not a run's window.
     Raises PropagationError on a serious breakdown, if no depth up to 1024
     converges, if the trace grows above M(0) = mu_tot^2, or if 2*dt aliases
     a Ritz value with weight.
     """
-    return _Lanczos(*_generator_and_state(agg, bath, caps), config).trace(_KRYLOV_TOL)
+    return _recursion(agg, bath, config, caps).trace(_KRYLOV_TOL)
+
+
+def _recursion(agg, bath, config, caps):
+    return _Lanczos(*_generator_and_state(agg, bath, caps), config, default_nu_grid(agg, bath))
 
 
 class _Lanczos:
@@ -535,13 +543,15 @@ class _Lanczos:
     ``propagate_pm``, from the Lanczos tridiagonal of a complex-symmetric
     ``matrix`` and a real ``psi0``.
 
-    ``trace(tol)`` deepens along _KRYLOV_DEPTHS until two consecutive depths
-    agree within tol * mu_tot^2 at every sample.  Called again with a
-    smaller tol it resumes from there, and returns the bytes that one call
-    at that tol returns.
+    ``trace(tol)`` deepens along _KRYLOV_DEPTHS until _CF_SAFETY times the
+    e^(-2ct)-weighted RMS change of the trace from the previous depth,
+    sqrt((c/pi) sum |R_m - R_prev|^2 c) by Plancherel, is within tol * mu_tot^2:
+    R_m = M(0) e1^T (z - T_m)^-1 e1 on z = c - 1j*nu, c = 1/t_final, nu over
+    the range of ``nu`` (it must cover the spectrum) at spacing c.  Called
+    again with a smaller tol it resumes, and returns the bytes of one call.
     """
 
-    def __init__(self, matrix, psi0, mu_tot_sq, config: PropagationConfig):
+    def __init__(self, matrix, psi0, mu_tot_sq, config: PropagationConfig, nu):
         psi0 = np.asarray(psi0, dtype=complex)
         if np.any(psi0.imag != 0.0):
             raise PropagationError("the Lanczos recursion requires a real initial state")
@@ -552,8 +562,10 @@ class _Lanczos:
         self.alpha, self.beta = [], []  # diagonal and off-diagonal of T
         self.v_prev, self.v = None, psi0 / np.sqrt(norm_sq)
         self.exact, self.depths = False, iter(_KRYLOV_DEPTHS)
-        # the trace at the depth reached, and its largest change from the one before
-        self.samples, self.change = None, np.inf
+        c = 1.0 / (self.spacing * (self.n_samples - 1))
+        self.z = c - 1j * (nu[0] + c * np.arange(int((nu[-1] - nu[0]) / c) + 1))
+        self.weight = _CF_SAFETY * c / np.sqrt(np.pi)  # the change per |R_m - R_prev|
+        self.resolvent, self.change = None, np.inf  # R at the depth reached, and the change
 
     @_one_blas_thread()
     def trace(self, tol):
@@ -584,15 +596,20 @@ class _Lanczos:
                 beta.append(np.sqrt(ww))
                 w /= beta[-1]
                 self.v_prev, self.v = self.v, w
-            samples = _ritz_trace(alpha, beta, self.spacing, self.n_samples, self.scale)
-            if self.samples is not None:
-                self.change = np.abs(samples - self.samples).max()
-            self.samples = samples
+            f = self.z - alpha[-1]  # f = z - alpha_k - beta_k^2 / f from the bottom of T up
+            for a, b in zip(alpha[-2::-1], beta[len(alpha) - 2::-1]):
+                np.divide(-b * b, f, out=f)
+                f += self.z
+                f -= a
+            resolvent = self.scale / f
+            if self.resolvent is not None:
+                self.change = self.weight * np.linalg.norm(resolvent - self.resolvent)
+            self.resolvent = resolvent
+        samples = _ritz_trace(alpha, beta, self.spacing, self.n_samples, self.scale)
         # exp(G t) never increases the norm, so a trace above M(0), or an M(0)
         # that lost weight to dropped Ritz values, by more than rounding or tol
         # means the generator is not dissipative.  Also catches non-finite samples.
-        samples, scale = self.samples.copy(), self.scale  # a later call compares with these
-        slack = max(_GROWTH_TOL, tol)
+        slack, scale = max(_GROWTH_TOL, tol), self.scale
         if not (np.all(np.abs(samples) <= (1.0 + slack) * scale)
                 and abs(samples[0] - scale) <= slack * scale):
             raise PropagationError(
@@ -674,7 +691,7 @@ def converge_caps(
     prev = None  # (cap, recursion, spectrum)
     for cap in (2**k for k in itertools.count()):
         try:
-            rung = _Lanczos(*_generator_and_state(agg, bath, cap), config)
+            rung = _recursion(agg, bath, config, cap)
         except BasisSizeError as exc:
             raise CapConvergenceError(
                 f"cap ladder needs {exc.dim} states at cap {cap}, over the budget "

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import scipy.sparse
 
 from aggspec import pseudomode
+from aggspec.cli import main
 from aggspec.model import (
     AggregateSpec, BathTerms, LorentzianBath, initial_bright_state, mirror_slots,
 )
@@ -310,6 +311,17 @@ def test_assembly_peak_memory_stays_near_the_csr():
     assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
+def test_assembly_catches_a_link_group_that_repeats_a_row(monkeypatch):
+    # with every lowered vector ranked as the vacuum, the three ladder links
+    # of slot 0 at caps 2 all end in row 0: the row counts see three entries
+    # there, the fill writes one
+    monkeypatch.setattr(pseudomode, "_ranks",
+                        lambda occupations, *args: np.zeros(len(occupations), dtype=np.int64))
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.44)
+    with pytest.raises(RuntimeError, match="repeats a row"):
+        assemble_generator(agg, DIMER_BATH, enumerate_basis(2, [1, 1], 2), 2)
+
+
 def test_basis_without_mode_slots_does_not_allocate_by_cap():
     # without bath terms every cap spans the electronic states alone, so a
     # huge one (past int32, too) costs no table of cap entries
@@ -516,7 +528,7 @@ CHECK_TOL = 1e-6
 def test_lanczos_resumed_from_the_check_tolerance_gives_the_full_trace(agg, bath, caps,
                                                                        check_tol):
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
-    rung = _Lanczos(*pseudomode._generator_and_state(agg, bath, caps), cfg)
+    rung = pseudomode._recursion(agg, bath, cfg, caps)
     rung.trace(check_tol)
     check_depth = len(rung.alpha)
     resumed = rung.trace(_KRYLOV_TOL)
@@ -586,7 +598,7 @@ def test_converge_caps_check_rungs_are_cheap_and_keep_the_overlaps(monkeypatch):
     # each rung-pair overlap moves by at most 1e-5 points against full precision
     spectra = {tol: [] for tol in (CHECK_TOL, _KRYLOV_TOL)}
     for caps in (1, 2, 4, 8, 16):
-        rung = _Lanczos(*original(FIG3A_TRIMER, bath, caps), cfg)
+        rung = _Lanczos(*original(FIG3A_TRIMER, bath, caps), cfg, nu)
         for tol, found in spectra.items():
             found.append(absorption_from_trace(rung.trace(tol), 0.01, nu))
     loose, full = ([overlap(a, b) for a, b in itertools.pairwise(found)]
@@ -704,22 +716,28 @@ def test_doubling_identity_property(problem):
 FIG1A_TRIMER_BATH = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
 
 
+DISORDERED_TRIMER = AggregateSpec.equal_parallel(3, [-0.3, 0.1, 0.25], 1.0)
+
+
 @pytest.mark.parametrize(
-    "n_monomers, v, bath, caps",
+    "agg, bath, caps",
     [
-        (2, -0.425, DIMER_BATH, 12),
-        (3, 1.5, FIG1A_TRIMER_BATH, 8),
-        (3, 1.5, FIG1A_TRIMER_BATH, 16),
-        (2, 1.5, six_term_bath(2), 6),  # dim 37,128
+        (AggregateSpec.equal_parallel(2, coupling_v=-0.425), DIMER_BATH, 12),
+        (FIG3A_TRIMER, FIG1A_TRIMER_BATH, 8),
+        (FIG3A_TRIMER, FIG1A_TRIMER_BATH, 16),
+        (AggregateSpec.equal_parallel(2, coupling_v=1.5), six_term_bath(2), 6),  # dim 37,128
+        # 22,575 of 45,045 states
+        (AggregateSpec.equal_parallel(7, coupling_v=0.44),
+         LorentzianBath.from_huang_rhys(7, 0.64, 1.0, 0.25), 8),
+        (DISORDERED_TRIMER, FIG1A_TRIMER_BATH, 8),  # no mirror: the full basis
     ],
-    ids=["dimer-0.425", "trimer-caps8", "trimer-caps16", "sixterm-caps6"],
+    ids=["dimer-0.425", "trimer-caps8", "trimer-caps16", "sixterm-caps6", "chain7-caps8",
+         "disordered-trimer-caps8"],
 )
-def test_krylov_depth_ladder_matches_a_deeper_recursion(n_monomers, v, bath, caps,
-                                                        monkeypatch):
-    # the ladder accepts a depth once it agrees with the one before (48 to
-    # 160 here); the accepted trace stays within the 1e-10 tolerance of a
-    # depth-384 one
-    agg = AggregateSpec.equal_parallel(n_monomers, coupling_v=v)
+def test_krylov_depth_ladder_matches_a_deeper_recursion(agg, bath, caps, monkeypatch):
+    # the ladder accepts a depth once its continued fraction agrees with the
+    # one before (48 to 152 here); the accepted trace stays within the 1e-10
+    # tolerance of a depth-384 one
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
     accepted = krylov_correlation(agg, bath, cfg, caps=caps)
     monkeypatch.setattr(pseudomode, "_KRYLOV_DEPTHS", (320, 384))
@@ -728,8 +746,9 @@ def test_krylov_depth_ladder_matches_a_deeper_recursion(n_monomers, v, bath, cap
 
 
 def test_krylov_depth_ladder_stops_near_the_converged_depth():
-    # the fig3a trimer at caps 8 and V = 1.5 is accepted at depth 96, which
-    # agrees with 80; a doubling ladder confirms 128 at depth 256
+    # the fig3a trimer at caps 8 and V = 1.5 is accepted at depth 88, whose
+    # continued fraction agrees with depth 80's; comparing whole traces
+    # accepted depth 96 on the steps 64, 80, 96, and a doubling ladder 256
     agg = AggregateSpec.equal_parallel(3, coupling_v=1.5)
     matrix, psi0, mu_tot_sq = pseudomode._generator_and_state(agg, FIG1A_TRIMER_BATH, 8)
 
@@ -741,8 +760,67 @@ def test_krylov_depth_ladder_stops_near_the_converged_depth():
             return matrix @ v
 
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
-    _Lanczos(Counted(), psi0, mu_tot_sq, cfg).trace(_KRYLOV_TOL)
-    assert Counted.matvecs <= 128
+    _Lanczos(Counted(), psi0, mu_tot_sq, cfg, default_nu_grid(agg, FIG1A_TRIMER_BATH)).trace(
+        _KRYLOV_TOL)
+    assert Counted.matvecs < 96
+
+
+def test_lanczos_eigen_solves_once_per_trace(monkeypatch):
+    # the depth test reads the continued fraction of T; only the returned
+    # trace needs its eigen-decomposition
+    solves = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: solves.append(len(a)) or eig(a))
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    for agg, bath, caps in ((FIG3A_TRIMER, FIG1A_TRIMER_BATH, 8),
+                            (DISORDERED_TRIMER, FIG1A_TRIMER_BATH, 4),
+                            (AggregateSpec.equal_parallel(2, coupling_v=0.44), six_term_bath(2), 4)):
+        solves.clear()
+        krylov_correlation(agg, bath, cfg, caps)
+        assert len(solves) == 1
+    # the fig3a ladder: one solve per rung 1, 2, 4, 8, 16 and one for the
+    # resumed caps-8 rung (16 when every depth was solved)
+    solves.clear()
+    nu = default_nu_grid(FIG3A_TRIMER, FIG1A_TRIMER_BATH)
+    assert converge_caps(FIG3A_TRIMER, FIG1A_TRIMER_BATH, cfg, 1e-3, 0.01, nu)[0] == 8
+    assert len(solves) == 6
+
+
+SIXTERM_DIMER_CFG = """
+[aggregate]
+n_monomers = 2
+epsilon = 0 0
+coupling_v = 1.5
+dipoles = equal-parallel
+polarization = 1 0 0
+
+[bath]
+huang_rhys = 0.4 0.07 0.18 0.24 0.12 0.24
+omega = 0.23 0.42 0.57 1.29 1.41 1.61
+gamma = 0.0575 0.105 0.1425 0.3225 0.3525 0.4025
+
+[run]
+method = pm
+dt = 0.01
+t_max = 150
+eta = 0.01
+nu_min = -7
+nu_step = 0.01
+pm_caps = 4
+"""
+
+
+def test_a_nu_window_that_misses_the_spectrum_writes_the_same_pm_trace(tmp_path):
+    # the depth test runs over the lane's own default_nu_grid: on the window
+    # [-7, -3] alone it would accept this dimer at depth 40, 1.2e-4 mu^2 off
+    written = []
+    for nu_max in (11, -3):
+        path = tmp_path / f"nu_max{nu_max}.cfg"
+        path.write_text(SIXTERM_DIMER_CFG + f"nu_max = {nu_max}\n")
+        out = tmp_path / f"out{nu_max}"
+        assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        written.append((out / "trace_pm.tsv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_lanczos_rejects_amplifying_generator():
@@ -752,10 +830,11 @@ def test_lanczos_rejects_amplifying_generator():
     psi0 = embed_initial_state(initial_bright_state(agg)[0], len(occupations))
     amplifying = matrix + 0.1 * scipy.sparse.identity(matrix.shape[0], format="csr")
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    nu = default_nu_grid(agg, DIMER_BATH)
     with pytest.raises(PropagationError, match="not dissipative"):
-        _Lanczos(amplifying, psi0, 1.0, cfg).trace(_KRYLOV_TOL)
+        _Lanczos(amplifying, psi0, 1.0, cfg, nu).trace(_KRYLOV_TOL)
     with pytest.raises(PropagationError, match="real initial state"):
-        _Lanczos(matrix, 1j * psi0, 1.0, cfg)
+        _Lanczos(matrix, 1j * psi0, 1.0, cfg, nu)
 
 
 def test_lanczos_single_state_stops_at_lucky_breakdown():
@@ -769,7 +848,7 @@ def test_lanczos_single_state_stops_at_lucky_breakdown():
             return g * v
 
     cfg = PropagationConfig(dt=0.01, t_max=10.0)
-    trace = _Lanczos(Counted(), np.array([1.0]), 2.0, cfg).trace(_KRYLOV_TOL)
+    trace = _Lanczos(Counted(), np.array([1.0]), 2.0, cfg, [-3.0, 3.0]).trace(_KRYLOV_TOL)
     assert Counted.matvecs == 1
     assert trace.dt == 0.02 and trace.samples.size == 501
     assert_allclose(trace.samples, 2.0 * np.exp(g * trace.times), rtol=1e-13, atol=0)
