@@ -19,12 +19,14 @@ and writes the converged spectrum.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
 numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
-The ZOFE side of a run propagates all its couplings as one lane batch
-(``propagate_zofe_lanes``).  A lane stopped by the norm guard restarts inside
-the batch with a finer step over the part of its trace up to the trip (see
-``aggspec.zofe``).  ``--threads`` splits a scan into contiguous chunks of
-lanes, one per worker process.  A lane's result does not depend on the batch
-it ran in, so the files do not depend on the split.
+Every subcommand runs one pipeline over its points, one coupling each: the
+scan grid, the ``v_values`` or the configured aggregate.  ``--threads``
+splits the points into contiguous chunks, one per worker process.  A chunk
+propagates its ZOFE side as one lane batch (``propagate_zofe_lanes``), then
+runs the pseudomode side point by point.  A lane stopped by the norm guard
+restarts inside the batch with a finer step over the part of its trace up to
+the trip (see ``aggspec.zofe``).  A point's result does not depend on the
+chunk it ran in, so the files do not depend on the split.
 The pseudomode side takes every trace from the Lanczos recursion of
 ``krylov_correlation``: no time step, dt sets only its sample grid.
 ``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
@@ -46,9 +48,7 @@ import numpy as np
 
 from .model import AggregateSpec, LorentzianBath, huang_rhys_to_gamma
 from .propagation import PropagationConfig, PropagationError, default_time_step
-from .spectra import (
-    CorrelationTrace, TraceTailError, absorption_from_trace, default_nu_grid, overlap,
-)
+from .spectra import TraceTailError, absorption_from_trace, default_nu_grid, overlap
 from .zofe import propagate_zofe_lanes
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_scenario", "run_spectrum",
@@ -233,33 +233,24 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         for key in ("v_min", "v_max", "v_steps"):
             if key not in sblock:
                 raise ConfigError(f"[scan]: {key} is required")
-        v_min = _float(sblock["v_min"], "v_min")
-        v_max = _float(sblock["v_max"], "v_max")
+        v_min, v_max = (_float(sblock[key], key) for key in ("v_min", "v_max"))
         v_steps = _int(sblock["v_steps"], "v_steps")
         if v_steps < 1 or (v_steps > 1 and not v_max > v_min):
             raise ConfigError("[scan]: need v_max > v_min and v_steps >= 1")
         scan = (v_min, v_max, v_steps)
     keep_spectra = _bool(blocks.get("scan", {}).get("keep_spectra", "false"), "keep_spectra")
 
-    v_values = None
-    if "v_values" in run:
-        v_values = tuple(_floats(run["v_values"], "v_values"))
-        if not v_values:
-            raise ConfigError("v_values must not be empty")
+    v_values = tuple(_floats(run["v_values"], "v_values")) if "v_values" in run else None
+    if v_values == ():
+        raise ConfigError("v_values must not be empty")
 
     # The frequency grid must cover every coupling the scenario will visit.
-    v_extent = abs(agg.coupling_v)
-    if scan is not None:
-        v_extent = max(v_extent, abs(scan[0]), abs(scan[1]))
-    if v_values:
-        v_extent = max(v_extent, max(abs(v) for v in v_values))
+    v_extent = max(abs(v) for v in (agg.coupling_v, *(scan or ())[:2], *(v_values or ())))
     explicit_nu = [key for key in ("nu_min", "nu_max", "nu_step") if key in run]
     if explicit_nu and len(explicit_nu) != 3:
         raise ConfigError("give all of nu_min, nu_max, nu_step or none")
     if explicit_nu:
-        nu_min = _float(run["nu_min"], "nu_min")
-        nu_max = _float(run["nu_max"], "nu_max")
-        nu_step = _float(run["nu_step"], "nu_step")
+        nu_min, nu_max, nu_step = (_float(run[key], key) for key in explicit_nu)
         if not (nu_step > 0 and nu_max > nu_min):
             raise ConfigError("need nu_max > nu_min and nu_step > 0")
         # a step that divides the range up to rounding (a quotient within a
@@ -270,10 +261,8 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         wide = dataclasses.replace(agg, coupling_v=v_extent)
         nu = default_nu_grid(wide, bath)
 
-    caps_spec = run.get("pm_caps", "auto").strip()
-    if caps_spec == "auto":
-        pm_caps = None
-    else:
+    caps_spec, pm_caps = run.get("pm_caps", "auto").strip(), None  # None: auto
+    if caps_spec != "auto":
         # one cap; a repeated one ("12 12", the retired per-mode form) is that cap
         caps = {_int(v, "pm_caps") for v in caps_spec.split()}
         if len(caps) != 1:
@@ -284,11 +273,12 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
     if method != "zofe":
         from . import pseudomode
 
-        if pm_caps is not None:
-            dim = agg.n_monomers * pseudomode.count_occupation_vectors(
-                sum(len(t) for t in bath.terms), pm_caps)
-            if dim > pseudomode.DEFAULT_MAX_STATES:
-                raise ConfigError(f"pm_caps: {pseudomode.BasisSizeError(dim)}")
+        try:  # the states a lane builds; folding does not depend on V
+            if pm_caps is not None:
+                pseudomode.count_states(agg.n_monomers, [len(t) for t in bath.terms], pm_caps,
+                                        pseudomode._folds(agg, bath))
+        except pseudomode.BasisSizeError as exc:
+            raise ConfigError(f"pm_caps: {exc}") from exc
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not 0 < pm_tolerance < 1:  # at 1 or more the first overlap would always pass
         raise ConfigError("pm_tolerance must lie in (0, 1)")
@@ -319,12 +309,9 @@ def _write_tsv(path, header, columns):
 
 
 def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
-    """(caps, trace) of the pseudomode side of one coupling.
-
-    Every trace is the one ``krylov_correlation`` gives.  Explicit caps
-    compute it once.  Auto caps run the cap ladder and return the trace of
-    the rung it accepts, which the ladder resumes to full precision.
-    """
+    """(caps, trace) of the pseudomode side of one coupling: the trace of
+    ``krylov_correlation`` at explicit caps; at auto caps, that of the rung
+    the cap ladder accepts, which the ladder resumes to full precision."""
     from . import pseudomode
 
     if cfg.pm_caps is not None:
@@ -335,153 +322,144 @@ def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
     )
 
 
-def _write_trace_and_spectrum(out, method, suffix, trace, cfg: ScenarioConfig):
-    spectrum = absorption_from_trace(trace, cfg.eta, cfg.nu)
-    return [
-        _write_tsv(out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
-                   (trace.times, trace.samples.real, trace.samples.imag)),
-        _write_tsv(out / f"spectrum_{method}{suffix}.tsv", ("nu", "A"),
-                   (spectrum.nu, spectrum.values)),
-    ]
-
-
-def _write_zofe_lanes(out, aggs, suffixes, cfg: ScenarioConfig):
-    """All couplings as one ZOFE batch; the first lane that fails is an error."""
-    traces = propagate_zofe_lanes(aggs, cfg.bath, cfg.propagation)
-    for trace in traces:
-        if isinstance(trace, PropagationError):
-            raise trace
-    written = []
-    for suffix, trace in zip(suffixes, traces):
-        written += _write_trace_and_spectrum(out, "zofe", suffix, trace, cfg)
-    return written
-
-
-def run_spectrum(cfg: ScenarioConfig, out_dir) -> list:
-    """Write spectrum_<method>[.V..].tsv and trace_<method>[.V..].tsv files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    couplings = cfg.v_values if cfg.v_values else (None,)
-    aggs = [cfg.aggregate if v is None else dataclasses.replace(cfg.aggregate, coupling_v=v)
+def _points(cfg: ScenarioConfig, command):
+    """The points a subcommand runs, in order: (V, file suffix, aggregate);
+    the scan grid of ``vscan``, the ``v_values`` of ``spectrum``, or else the
+    configured aggregate alone (V None, no suffix)."""
+    couplings = (None,)
+    if command == "vscan":
+        v_min, v_max, v_steps = cfg.scan
+        couplings = [v_min] if v_steps == 1 else \
+            v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
+    elif command == "spectrum" and cfg.v_values:
+        couplings = cfg.v_values
+    return [(None, "", cfg.aggregate) if v is None else
+            (float(v), f"_V{v:g}", dataclasses.replace(cfg.aggregate, coupling_v=float(v)))
             for v in couplings]
-    suffixes = ["" if v is None else f"_V{v:g}" for v in couplings]
-    written = []
-    if cfg.method in ("zofe", "both"):
-        # returns before any pseudomode work, which frees the sample block
-        written += _write_zofe_lanes(out, aggs, suffixes, cfg)
-    if cfg.method in ("pm", "both"):
-        for agg, suffix in zip(aggs, suffixes):
-            _, trace = _pm_caps_and_trace(agg, cfg)
-            written += _write_trace_and_spectrum(out, "pm", suffix, trace, cfg)
-    return written
 
 
-def _zofe_scan_spectra(aggs, cfg: ScenarioConfig):
-    """One ZOFE batch; each lane's spectrum, or the error that stopped it.
-
-    The traces are transformed as soon as the batch returns, so their shared
-    sample block is freed when this function returns.
-    """
-    results = []
-    for result in propagate_zofe_lanes(aggs, cfg.bath, cfg.propagation):
-        if isinstance(result, CorrelationTrace):
-            try:
-                result = absorption_from_trace(result, cfg.eta, cfg.nu)
-            except TraceTailError as exc:
-                # without its traceback, which would keep the trace alive
-                result = exc.with_traceback(None)
-        results.append(result)
-    return results
+def _write_point(out, method, suffix, spectrum, trace=None):
+    """spectrum_<method><suffix>.tsv, after trace_<method><suffix>.tsv if given."""
+    written = [] if trace is None else [_write_tsv(
+        out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
+        (trace.times, trace.samples.real, trace.samples.imag))]
+    return written + [_write_tsv(out / f"spectrum_{method}{suffix}.tsv", ("nu", "A"),
+                                 (spectrum.nu, spectrum.values))]
 
 
-def _vscan_point(agg, cfg: ScenarioConfig, spec_z, trace=None):
-    """Pseudomode side of one scan point, whose pseudomode ``trace`` may be
-    known already; returns (overlap or nan, error, spectra)."""
+def _zofe_side(cfg: ScenarioConfig, points, out, scan):
+    """One ZOFE batch over the points: (in a scan each lane's spectrum or the
+    error that stopped it; the files written).  Outside a scan each lane
+    writes its trace and spectrum, and a failure is raised.  The traces are
+    transformed as the batch returns, so their shared sample block is freed
+    when this function returns."""
+    results, written = [], []
+    lanes = propagate_zofe_lanes([agg for _, _, agg in points], cfg.bath, cfg.propagation)
+    for (_, suffix, _), trace in zip(points, lanes):
+        try:
+            result = trace if isinstance(trace, PropagationError) else \
+                absorption_from_trace(trace, cfg.eta, cfg.nu)
+        except TraceTailError as exc:
+            result = exc.with_traceback(None)  # the traceback would keep the trace alive
+        if not scan:
+            if isinstance(result, Exception):
+                raise result
+            written += _write_point(out, "zofe", suffix, result, trace)
+        results.append(result if scan else None)  # a written spectrum is not kept
+    return results, written
+
+
+def _pm_side(cfg: ScenarioConfig, point, spec_z, known, out, scan):
+    """Pseudomode side of one point, whose trace may be ``known`` (by V):
+    (caps, overlap or nan, error or None, files written).  Outside a scan the
+    point writes its trace and spectrum, and a failure is raised.  A scan
+    point compares with the ZOFE spectrum ``spec_z``, and does nothing if that
+    is an error; it writes both spectra only if it succeeds and keeps them."""
+    v, suffix, agg = point
     if isinstance(spec_z, Exception):
-        return float("nan"), str(spec_z), None
+        return cfg.pm_caps, math.nan, str(spec_z), []
     try:
-        if trace is None:
-            _, trace = _pm_caps_and_trace(agg, cfg)
+        caps, trace = (cfg.pm_caps, known[v]) if v in known else _pm_caps_and_trace(agg, cfg)
         spec_p = absorption_from_trace(trace, cfg.eta, cfg.nu)
     except (PropagationError, TraceTailError) as exc:
-        return float("nan"), str(exc), None
-    kept = (spec_z.values, spec_p.values) if cfg.keep_spectra else None
-    return overlap(spec_z, spec_p), None, kept
+        if not scan:
+            raise
+        return cfg.pm_caps, math.nan, str(exc), []
+    if not scan:
+        return caps, math.nan, None, _write_point(out, "pm", suffix, spec_p, trace)
+    kept = _write_point(out, "zofe", suffix, spec_z) + _write_point(out, "pm", suffix, spec_p) \
+        if cfg.keep_spectra else []
+    return caps, overlap(spec_z, spec_p), None, kept
 
 
-def _vscan_chunk(payload):
-    """A contiguous chunk of scan points: one ZOFE batch, then the pseudomode
-    side point by point, reusing the pseudomode traces in ``known`` (by V).
-    Returns [(v, overlap or nan, error, spectra)]."""
-    cfg, v_chunk, known = payload
-    aggs = [dataclasses.replace(cfg.aggregate, coupling_v=v) for v in v_chunk]
-    spectra_z = _zofe_scan_spectra(aggs, cfg)
-    return [(v, *_vscan_point(agg, cfg, spec_z, known.get(v)))
-            for v, agg, spec_z in zip(v_chunk, aggs, spectra_z)]
+def _run_chunk(payload):
+    """A contiguous chunk of points: one ZOFE batch, then the pseudomode side
+    point by point.  Returns (files written, [(V, caps, overlap or nan, error
+    or None)] of the points with a pseudomode side)."""
+    cfg, points, known, out, scan = payload
+    spectra_z, written, rows = [None] * len(points), [], []
+    if cfg.method != "pm":
+        spectra_z, written = _zofe_side(cfg, points, out, scan)
+    for point, spec_z in zip(points, spectra_z):
+        if cfg.method != "zofe":
+            *row, files = _pm_side(cfg, point, spec_z, known, out, scan)
+            written += files
+            rows.append((point[0], *row))
+    return written, rows
+
+
+def _run(cfg: ScenarioConfig, points, out_dir, threads=1, known=(), scan=False):
+    """Run the points in ``threads`` contiguous chunks, in one worker process
+    each if there are two or more, each with the pseudomode traces of
+    ``known`` (by V) it holds; returns the chunks' results joined in order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    chunks = np.array_split(np.arange(len(points)), max(1, min(threads, len(points))))
+    payloads = [(cfg, [points[i] for i in chunk],
+                 {v: known[v] for v in [points[i][0] for i in chunk] if v in known},
+                 out, scan) for chunk in chunks]
+    if len(payloads) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            results = list(pool.map(_run_chunk, payloads))
+    else:
+        results = [_run_chunk(payloads[0])]
+    return [p for files, _ in results for p in files], [r for _, rows in results for r in rows]
+
+
+def run_spectrum(cfg: ScenarioConfig, out_dir, threads=1) -> list:
+    """Write spectrum_<method>[.V..].tsv and trace_<method>[.V..].tsv files."""
+    return _run(cfg, _points(cfg, "spectrum"), out_dir, threads)[0]
 
 
 def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
-    """Overlap between the two methods over the coupling scan.
-
-    Writes overlap.tsv (ascending V); failed points are recorded as nan.
-    Returns (paths, n_failed).
-    """
-    if cfg.scan is None:
-        raise ConfigError("vscan needs a [scan] block")
-    if cfg.method != "both":
-        raise ConfigError("vscan requires method = both")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    v_min, v_max, v_steps = cfg.scan
-    if v_steps == 1:
-        v_grid = np.array([v_min])
-    else:
-        v_grid = v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
+    """Overlap between the two methods over the coupling scan: writes
+    overlap.tsv (ascending V), failed points as nan; returns (paths, n_failed)."""
+    if cfg.scan is None or cfg.method != "both":
+        raise ConfigError("vscan needs a [scan] block and method = both")
+    points = _points(cfg, "vscan")
     known = {}  # pseudomode traces computed before the scan, by V
     if cfg.pm_caps is None:
         # Caps are certified once, at the strongest coupling visited, and
         # reused for every point so the scan is consistent and reproducible.
         # That point takes the trace of the rung the ladder accepted.
-        v_caps = float(v_grid[np.argmax(np.abs(v_grid))])
-        caps, known[v_caps] = _pm_caps_and_trace(
-            dataclasses.replace(cfg.aggregate, coupling_v=v_caps), cfg)
+        v_caps, _, agg = max(points, key=lambda point: abs(point[0]))
+        caps, known[v_caps] = _pm_caps_and_trace(agg, cfg)
         cfg = dataclasses.replace(cfg, pm_caps=caps)
-    payloads = []
-    for chunk in np.array_split(v_grid, max(1, min(threads, v_grid.size))):
-        v_chunk = [float(v) for v in chunk]
-        payloads.append((cfg, v_chunk, {v: known[v] for v in v_chunk if v in known}))
-    if len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = [row for rows in pool.map(_vscan_chunk, payloads) for row in rows]
-    else:
-        results = _vscan_chunk(payloads[0])
-
-    written = []
-    n_failed = 0
-    for v, _, error, kept in results:
+    written, rows = _run(cfg, points, out_dir, threads, known, scan=True)
+    for v, _, _, error in rows:
         if error is not None:
-            n_failed += 1
             print(f"scan point V = {v:g} failed: {error}", file=sys.stderr)
-        elif kept is not None:
-            written.append(_write_tsv(out / f"spectrum_zofe_V{v:g}.tsv",
-                                      ("nu", "A"), (cfg.nu, kept[0])))
-            written.append(_write_tsv(out / f"spectrum_pm_V{v:g}.tsv",
-                                      ("nu", "A"), (cfg.nu, kept[1])))
-    written.insert(0, _write_tsv(out / "overlap.tsv", ("V", "overlap_percent"),
-                                 [[r[0] for r in results], [r[1] for r in results]]))
-    return written, n_failed
+    written.insert(0, _write_tsv(Path(out_dir) / "overlap.tsv", ("V", "overlap_percent"),
+                                 [[row[0] for row in rows], [row[2] for row in rows]]))
+    return written, sum(row[3] is not None for row in rows)
 
 
-def run_converge(cfg: ScenarioConfig, out_dir):
+def run_converge(cfg: ScenarioConfig, out_dir, threads=1):
     """Certify the pseudomode cap; write it, the converged spectrum and trace."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # the ladder runs even when the scenario gives explicit caps
-    caps, trace = _pm_caps_and_trace(cfg.aggregate, dataclasses.replace(cfg, pm_caps=None))
-    written = [
-        _write_tsv(out / "converged_caps.tsv", ("caps",), ([caps],)),
-        *_write_trace_and_spectrum(out, "pm", "", trace, cfg),
-    ]
+    # the ladder runs on the pseudomode side alone, even with explicit caps
+    cfg = dataclasses.replace(cfg, method="pm", pm_caps=None)
+    written, [(_, caps, _, _)] = _run(cfg, _points(cfg, "converge"), out_dir, threads)
+    written.insert(0, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("caps",), ([caps],)))
     print(f"converged caps: {caps}")
     return written
 
@@ -504,20 +482,19 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=("zofe", "pm", "both"),
                        help="override the configured method")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (a scan is split into chunks of "
-                            "lanes; never changes file contents)")
+                       help="worker processes (the couplings are split into "
+                            "chunks; never changes file contents)")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_scenario(args.config, method_override=args.method)
-        if args.command == "spectrum":
-            run_spectrum(cfg, args.out)
-        elif args.command == "vscan":
+        if args.command == "vscan":
             _, n_failed = run_vscan(cfg, args.out, threads=args.threads)
             if n_failed:
                 return 3
         else:
-            run_converge(cfg, args.out)
+            (run_spectrum if args.command == "spectrum" else run_converge)(
+                cfg, args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

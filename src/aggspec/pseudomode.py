@@ -97,6 +97,7 @@ __all__ = [
     "BasisSizeError",
     "CapConvergenceError",
     "count_occupation_vectors",
+    "count_states",
     "enumerate_basis",
     "assemble_generator",
     "embed_initial_state",
@@ -138,6 +139,9 @@ class BasisSizeError(PropagationError):
             f"basis would hold {dim} states, exceeding the budget of {self.max_states}"
         )
 
+    def __reduce__(self):  # pickled by its arguments, e.g. out of a worker process
+        return type(self), (self.dim,)
+
 
 class CapConvergenceError(PropagationError):
     """The cap ladder hit the memory budget before the spectra converged."""
@@ -145,6 +149,9 @@ class CapConvergenceError(PropagationError):
     def __init__(self, message, overlaps):
         self.overlaps = tuple(overlaps)
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.overlaps)
 
 
 def _count_table(n_slots, cap):
@@ -159,6 +166,26 @@ def count_occupation_vectors(n_slots: int, cap: int) -> int:
     if cap < 0:
         raise ValueError("caps must be >= 0")
     return math.comb(cap + n_slots, n_slots)
+
+
+def count_states(n_monomers: int, modes_per_monomer, cap: int, fold=False) -> int:
+    """Basis states at ``cap``, the one count the state budget reads: with
+    ``fold`` those of the mirror-even half (palindromic ``modes_per_monomer``),
+    else n_monomers * n_vectors.  Raises BasisSizeError past the budget."""
+    modes = list(modes_per_monomer)
+    dim = n_monomers * count_occupation_vectors(sum(modes), cap)
+    if fold:
+        # (dim + fixed points) / 2.  The fixed vectors of an odd chain's middle
+        # block are equal on each mirror pair of slots; 2 (pair sum) + (own sum)
+        # <= cap counts them as the x^cap coefficient of
+        # (1 + x)^(own + 1) / (1 - x^2)^(slots + 1), slots = pairs + own.
+        own, slots = modes[n_monomers // 2], sum(modes[:n_monomers // 2 + 1])
+        dim = (dim + n_monomers % 2 * sum(
+            math.comb(own + 1, j) * math.comb((cap - j) // 2 + slots, slots)
+            for j in range(cap % 2, min(own + 1, cap) + 1, 2))) // 2
+    if dim > DEFAULT_MAX_STATES:
+        raise BasisSizeError(dim)
+    return dim
 
 
 def _ranks(occupations, table, cap, slots=None):
@@ -180,21 +207,19 @@ def _ranks(occupations, table, cap, slots=None):
     return ranks
 
 
-def enumerate_basis(n_monomers: int, modes_per_monomer, cap: int) -> np.ndarray:
+def enumerate_basis(n_monomers: int, modes_per_monomer, cap: int, fold=False) -> np.ndarray:
     """The occupation block: every beta with sum(beta) <= cap, exactly once.
 
     Returns a read-only int32 array of shape (n_vectors, n_slots), one
     occupation vector per row in lexicographic order; basis state (n, row k)
     has index n * n_vectors + k.  ``beta`` runs over all modes of all
-    monomers (n_slots = sum(modes_per_monomer)).  Raises BasisSizeError with
-    the projected dimension n_monomers * n_vectors if it would exceed
-    ``DEFAULT_MAX_STATES``.
+    monomers (n_slots = sum(modes_per_monomer)).  Raises BasisSizeError if
+    the basis built from the block, folded with ``fold`` (``count_states``),
+    would exceed ``DEFAULT_MAX_STATES``.
     """
     n_slots = int(sum(modes_per_monomer))
     n_vectors = count_occupation_vectors(n_slots, cap)
-    dim = n_monomers * n_vectors
-    if dim > DEFAULT_MAX_STATES:
-        raise BasisSizeError(dim)
+    count_states(n_monomers, modes_per_monomer, cap, fold)
     if not n_slots:
         cap = 0  # every cap gives just the empty vector, and cap may not fit int32
     occupations = np.empty((n_vectors, n_slots), dtype=np.int32)
@@ -438,8 +463,8 @@ def _folds(agg, bath):
 def _generator_and_state(agg, bath, caps):
     """(G as CSR, embedded bright state, mu_tot^2) at the occupation cap,
     folded onto the mirror-even half of the basis where ``_folds``."""
-    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], caps)
     fold = _folds(agg, bath)
+    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], caps, fold)
     matrix = assemble_generator(agg, bath, occupations, caps, fold=fold)
     psi0, mu_tot = initial_bright_state(agg)
     if fold:

@@ -13,7 +13,7 @@ from aggspec.cli import (
     _TSV_CHUNK,
     ConfigError,
     _write_tsv,
-    _zofe_scan_spectra,
+    _zofe_side,
     load_scenario,
     main,
     run_converge,
@@ -226,17 +226,46 @@ def test_vscan_threads_do_not_change_output(tmp_path):
     five = VSCAN_CFG.replace("t_max = 150\neta = 0.01", "t_max = 30\neta = 0.4") \
                     .replace("v_min = 0\nv_max = 0\nv_steps = 1",
                              "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
-    for name, text, threads in (("three", three, (1, 2)), ("five", five, (1, 2, 3))):
+    couplings = (-0.425, -0.2125, 0.0, 0.2125, 0.425)
+    # spectrum with both methods on the same five couplings, and converge
+    spectrum = five.replace("pm_caps = 12", "pm_caps = 12\nv_values = " +
+                            " ".join(f"{v:g}" for v in couplings))
+    converge = MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")
+    written = {}
+    for name, text, run in (("three", three, run_vscan), ("five", five, run_vscan),
+                            ("spectrum", spectrum, run_spectrum),
+                            ("converge", converge, run_converge)):
         cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
         outputs = []
-        for n in threads:
+        for n in (1, 2, 3):
             out = tmp_path / name / str(n)
-            assert run_vscan(cfg, out, threads=n)[1] == 0
+            result = run(cfg, out, threads=n)
+            assert run is not run_vscan or result[1] == 0
             outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-        assert all(files == outputs[0] for files in outputs)
-    assert sorted(outputs[0]) == ["overlap.tsv"] + sorted(
-        f"spectrum_{method}_V{v:g}.tsv" for method in ("pm", "zofe")
-        for v in (-0.425, -0.2125, 0.0, 0.2125, 0.425))
+        assert all(files == outputs[0] for files in outputs), name
+        written[name] = sorted(outputs[0])
+    assert written["five"] == ["overlap.tsv"] + sorted(
+        f"spectrum_{method}_V{v:g}.tsv" for method in ("pm", "zofe") for v in couplings)
+    assert written["spectrum"] == sorted(
+        f"{kind}_{method}_V{v:g}.tsv" for kind in ("spectrum", "trace")
+        for method in ("pm", "zofe") for v in couplings)
+    assert written["converge"] == ["converged_caps.tsv", "spectrum_pm.tsv", "trace_pm.tsv"]
+
+
+def test_a_ladder_failure_in_a_worker_process_exits_2(tmp_path, capsys):
+    # the fig4 ladder runs out of budget at cap 16 on every coupling; its
+    # error reaches the parent from a worker process with the same exit code
+    # and message as without one
+    text = (Path(__file__).resolve().parents[1] / "configs" / "fig4_dimer_sixterm.cfg") \
+        .read_text().replace("pm_caps = 6", "pm_caps = auto")
+    path = write_cfg(tmp_path, text)
+    errors = []
+    for n in ("1", "2"):
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / n),
+                     "--method", "pm", "--threads", n]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("solver error: cap ladder needs 30421755 states at cap 16")
 
 
 def test_scan_step_ladder_matches_per_lane_ladder():
@@ -248,7 +277,7 @@ def test_scan_step_ladder_matches_per_lane_ladder():
     cfg = dataclasses.replace(cfg, propagation=PropagationConfig(dt=0.01, t_max=20.0), eta=0.5)
     aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in (-0.425, 0.425, 0.429)]
     samples, mu_sq, levels, _, _, _ = _run_lanes(aggs, bath, cfg.propagation)
-    spectra = _zofe_scan_spectra(aggs, cfg)
+    spectra, _ = _zofe_side(cfg, [(None, "", agg) for agg in aggs], None, scan=True)
     assert list(levels) == [1, 1, 1]
     whole = PropagationConfig(dt=0.005, t_max=20.0)
     for b, agg in enumerate(aggs):
@@ -464,13 +493,22 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_over_budget_explicit_caps_are_a_config_error(tmp_path, capsys):
-    # 2 x 2,003,001 states at caps 2000: rejected while loading, before the
-    # ZOFE side runs, for every command that would build the basis
+    # 2,003,001 states at caps 2000 on the mirror-even half of the dimer's
+    # basis: rejected while loading, before the ZOFE side runs, for every
+    # command that would build the basis
     path = write_cfg(tmp_path, VSCAN_CFG.replace("pm_caps = 12", "pm_caps = 2000"))
     for command in ("spectrum", "vscan"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 1
-        assert "4006002 states, exceeding the budget" in capsys.readouterr().err
+        assert "2003001 states, exceeding the budget" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+    # the 7-site fig1a chain builds 1,211,859 of its 2,422,728 states at caps
+    # 17, within the budget, and would build 2,303,015 at caps 19
+    text = (Path(__file__).resolve().parents[1] / "configs" / "fig1a_scan.cfg").read_text() \
+        .replace("n_monomers = 2\nepsilon = 0 0", "n_monomers = 7\nepsilon = 0")
+    assert load_scenario(write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 17"))) \
+        .pm_caps == 17
+    with pytest.raises(ConfigError, match="2303015 states, exceeding the budget"):
+        load_scenario(write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 19")))
 
 
 def test_pm_caps_is_one_cap_counted_without_tables(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -93,6 +94,35 @@ def test_budget_error_reports_dimension(monkeypatch):
         enumerate_basis(2, [6, 6], 8)
     assert err.value.dim == 2 * count_occupation_vectors(12, 8)
     assert err.value.max_states == 1000
+
+
+def test_budget_counts_the_states_that_are_built():
+    # a folded lane holds half of an even chain's states and (states + fixed
+    # points) / 2 of an odd one's, with uneven term lists and monomers
+    # without modes too
+    t, u = (0.64, 1.0, 0.25), (0.3, 0.5, 0.1)
+    for terms in (((t,), (t,)), ((t, u),) * 3, ((t,), (), (t,)), ((), (t, u), ()),
+                  ((t, u), (t,), (), (t,), (t, u))):
+        agg, bath = AggregateSpec.equal_parallel(len(terms)), LorentzianBath(terms)
+        assert pseudomode._folds(agg, bath)
+        for cap in range(6):
+            dim = pseudomode.count_states(len(terms), [len(m) for m in terms], cap, fold=True)
+            assert dim == pseudomode._generator_and_state(agg, bath, cap)[0].shape[0]
+    # the 7-site chain at caps 17 builds 1,211,859 of its 2,422,728 states
+    assert pseudomode.count_states(7, [1] * 7, 17, fold=True) == 1_211_859
+    with pytest.raises(BasisSizeError) as err:
+        pseudomode.count_states(7, [1] * 7, 17)
+    assert err.value.dim == 2_422_728
+
+
+def test_solver_errors_survive_pickling():
+    # a worker process hands its error to the parent as a pickle
+    error = CapConvergenceError("cap ladder needs 9 states at cap 4", [82.5, 98.25])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is CapConvergenceError
+    assert (str(copy), copy.overlaps) == ("cap ladder needs 9 states at cap 4", (82.5, 98.25))
+    copy = pickle.loads(pickle.dumps(BasisSizeError(9)))
+    assert (str(copy), copy.dim) == (str(BasisSizeError(9)), 9)
 
 
 def test_generator_two_level_hand_assembly():
