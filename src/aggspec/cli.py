@@ -17,16 +17,20 @@ Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
 ``converge`` certifies the pseudomode cap, writes it to converged_caps.tsv
 and writes the converged spectrum.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
-numbers, byte-identical across reruns; ``--threads`` only changes wall time.
+numbers, byte-identical across reruns; ``--threads`` only changes wall time
+(see below for a failing run).
 
 Every subcommand runs one pipeline over its points, one coupling each: the
-scan grid, the ``v_values`` or the configured aggregate.  ``--threads``
-splits the points into contiguous chunks, one per worker process.  A chunk
-propagates its ZOFE side as one lane batch (``propagate_zofe_lanes``), then
-runs the pseudomode side point by point.  A lane stopped by the norm guard
-restarts inside the batch with a finer step over the part of its trace up to
-the trip (see ``aggspec.zofe``).  A point's result does not depend on the
-chunk it ran in, so the files do not depend on the split.
+scan grid, the ``v_values`` or the configured aggregate (``converge`` has
+only that one).  ``--threads`` splits the points into contiguous chunks, one
+per worker process.  A chunk propagates its ZOFE side as one lane batch
+(``propagate_zofe_lanes``), then runs the pseudomode side point by point.
+A lane stopped by the norm guard restarts inside the batch with a finer step
+over the part of its trace up to the trip (see ``aggspec.zofe``).  A point's
+result does not depend on the chunk it ran in, so the files do not depend on
+the split.  Only a failing ``spectrum`` run does: each chunk stops at its
+own first failure, so the files left and the error reported can depend on
+``--threads``.
 The pseudomode side takes every trace from the Lanczos recursion of
 ``krylov_correlation``: no time step, dt sets only its sample grid.
 ``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
@@ -233,24 +237,33 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         for key in ("v_min", "v_max", "v_steps"):
             if key not in sblock:
                 raise ConfigError(f"[scan]: {key} is required")
-        v_min, v_max = (_float(sblock[key], key) for key in ("v_min", "v_max"))
+        v_min = _float(sblock["v_min"], "v_min")
+        v_max = _float(sblock["v_max"], "v_max")
         v_steps = _int(sblock["v_steps"], "v_steps")
         if v_steps < 1 or (v_steps > 1 and not v_max > v_min):
             raise ConfigError("[scan]: need v_max > v_min and v_steps >= 1")
         scan = (v_min, v_max, v_steps)
     keep_spectra = _bool(blocks.get("scan", {}).get("keep_spectra", "false"), "keep_spectra")
 
-    v_values = tuple(_floats(run["v_values"], "v_values")) if "v_values" in run else None
-    if v_values == ():
-        raise ConfigError("v_values must not be empty")
+    v_values = None
+    if "v_values" in run:
+        v_values = tuple(_floats(run["v_values"], "v_values"))
+        if not v_values:
+            raise ConfigError("v_values must not be empty")
 
     # The frequency grid must cover every coupling the scenario will visit.
-    v_extent = max(abs(v) for v in (agg.coupling_v, *(scan or ())[:2], *(v_values or ())))
+    v_extent = abs(agg.coupling_v)
+    if scan is not None:
+        v_extent = max(v_extent, abs(scan[0]), abs(scan[1]))
+    if v_values:
+        v_extent = max(v_extent, max(abs(v) for v in v_values))
     explicit_nu = [key for key in ("nu_min", "nu_max", "nu_step") if key in run]
     if explicit_nu and len(explicit_nu) != 3:
         raise ConfigError("give all of nu_min, nu_max, nu_step or none")
     if explicit_nu:
-        nu_min, nu_max, nu_step = (_float(run[key], key) for key in explicit_nu)
+        nu_min = _float(run["nu_min"], "nu_min")
+        nu_max = _float(run["nu_max"], "nu_max")
+        nu_step = _float(run["nu_step"], "nu_step")
         if not (nu_step > 0 and nu_max > nu_min):
             raise ConfigError("need nu_max > nu_min and nu_step > 0")
         # a step that divides the range up to rounding (a quotient within a
@@ -261,8 +274,10 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         wide = dataclasses.replace(agg, coupling_v=v_extent)
         nu = default_nu_grid(wide, bath)
 
-    caps_spec, pm_caps = run.get("pm_caps", "auto").strip(), None  # None: auto
-    if caps_spec != "auto":
+    caps_spec = run.get("pm_caps", "auto").strip()
+    if caps_spec == "auto":
+        pm_caps = None
+    else:
         # one cap; a repeated one ("12 12", the retired per-mode form) is that cap
         caps = {_int(v, "pm_caps") for v in caps_spec.split()}
         if len(caps) != 1:
@@ -273,12 +288,13 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
     if method != "zofe":
         from . import pseudomode
 
-        try:  # the states a lane builds; folding does not depend on V
-            if pm_caps is not None:
+        if pm_caps is not None:
+            # the states a lane builds; whether it folds does not depend on V
+            try:
                 pseudomode.count_states(agg.n_monomers, [len(t) for t in bath.terms], pm_caps,
                                         pseudomode._folds(agg, bath))
-        except pseudomode.BasisSizeError as exc:
-            raise ConfigError(f"pm_caps: {exc}") from exc
+            except pseudomode.BasisSizeError as exc:
+                raise ConfigError(f"pm_caps: {exc}") from exc
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not 0 < pm_tolerance < 1:  # at 1 or more the first overlap would always pass
         raise ConfigError("pm_tolerance must lie in (0, 1)")
@@ -308,20 +324,6 @@ def _write_tsv(path, header, columns):
     return Path(path)
 
 
-def _pm_caps_and_trace(agg, cfg: ScenarioConfig):
-    """(caps, trace) of the pseudomode side of one coupling: the trace of
-    ``krylov_correlation`` at explicit caps; at auto caps, that of the rung
-    the cap ladder accepts, which the ladder resumes to full precision."""
-    from . import pseudomode
-
-    if cfg.pm_caps is not None:
-        return cfg.pm_caps, pseudomode.krylov_correlation(agg, cfg.bath, cfg.propagation,
-                                                          caps=cfg.pm_caps)
-    return pseudomode.converge_caps(
-        agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu,
-    )
-
-
 def _points(cfg: ScenarioConfig, command):
     """The points a subcommand runs, in order: (V, file suffix, aggregate);
     the scan grid of ``vscan``, the ``v_values`` of ``spectrum``, or else the
@@ -347,77 +349,108 @@ def _write_point(out, method, suffix, spectrum, trace=None):
                                  (spectrum.nu, spectrum.values))]
 
 
-def _zofe_side(cfg: ScenarioConfig, points, out, scan):
-    """One ZOFE batch over the points: (in a scan each lane's spectrum or the
-    error that stopped it; the files written).  Outside a scan each lane
-    writes its trace and spectrum, and a failure is raised.  The traces are
-    transformed as the batch returns, so their shared sample block is freed
-    when this function returns."""
-    results, written = [], []
+def _spectrum(cfg: ScenarioConfig, trace):
+    """The spectrum of a trace, or the error that stopped it: a ZOFE lane's
+    own PropagationError, or the TraceTailError of the transform."""
+    if isinstance(trace, PropagationError):
+        return trace
+    try:
+        return absorption_from_trace(trace, cfg.eta, cfg.nu)
+    except TraceTailError as exc:
+        return exc.with_traceback(None)  # the traceback would keep the trace alive
+
+
+def _zofe_side(cfg: ScenarioConfig, points, out=None):
+    """One ZOFE batch over the points: (per point its spectrum or the error
+    that stopped its lane, the files written).  Given ``out``, a lane writes
+    its trace and spectrum there at once and keeps None for the spectrum.
+    The batch's sample block is freed when this returns."""
+    kept, written = [], []
     lanes = propagate_zofe_lanes([agg for _, _, agg in points], cfg.bath, cfg.propagation)
     for (_, suffix, _), trace in zip(points, lanes):
-        try:
-            result = trace if isinstance(trace, PropagationError) else \
-                absorption_from_trace(trace, cfg.eta, cfg.nu)
-        except TraceTailError as exc:
-            result = exc.with_traceback(None)  # the traceback would keep the trace alive
-        if not scan:
-            if isinstance(result, Exception):
-                raise result
-            written += _write_point(out, "zofe", suffix, result, trace)
-        results.append(result if scan else None)  # a written spectrum is not kept
-    return results, written
+        spectrum = _spectrum(cfg, trace)
+        if out is not None and not isinstance(spectrum, Exception):
+            written += _write_point(out, "zofe", suffix, spectrum, trace)
+            spectrum = None  # a written spectrum is not kept
+        kept.append(spectrum)
+    return kept, written
 
 
-def _pm_side(cfg: ScenarioConfig, point, spec_z, known, out, scan):
-    """Pseudomode side of one point, whose trace may be ``known`` (by V):
-    (caps, overlap or nan, error or None, files written).  Outside a scan the
-    point writes its trace and spectrum, and a failure is raised.  A scan
-    point compares with the ZOFE spectrum ``spec_z``, and does nothing if that
-    is an error; it writes both spectra only if it succeeds and keeps them."""
-    v, suffix, agg = point
-    if isinstance(spec_z, Exception):
-        return cfg.pm_caps, math.nan, str(spec_z), []
+def _pm_side(cfg: ScenarioConfig, agg):
+    """(caps, trace, spectrum or the error that stopped it) of the pseudomode
+    side of one coupling; (caps, None, error) if no trace is computed.
+
+    Every trace is the one ``krylov_correlation`` gives.  Explicit caps
+    compute it once.  Auto caps run the cap ladder and return the trace of
+    the rung it accepts, which the ladder resumes to full precision.
+    """
+    from . import pseudomode
+
     try:
-        caps, trace = (cfg.pm_caps, known[v]) if v in known else _pm_caps_and_trace(agg, cfg)
-        spec_p = absorption_from_trace(trace, cfg.eta, cfg.nu)
-    except (PropagationError, TraceTailError) as exc:
-        if not scan:
-            raise
-        return cfg.pm_caps, math.nan, str(exc), []
-    if not scan:
-        return caps, math.nan, None, _write_point(out, "pm", suffix, spec_p, trace)
-    kept = _write_point(out, "zofe", suffix, spec_z) + _write_point(out, "pm", suffix, spec_p) \
-        if cfg.keep_spectra else []
-    return caps, overlap(spec_z, spec_p), None, kept
+        if cfg.pm_caps is not None:
+            caps, trace = cfg.pm_caps, pseudomode.krylov_correlation(
+                agg, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
+        else:
+            caps, trace = pseudomode.converge_caps(
+                agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu)
+    except PropagationError as exc:
+        return cfg.pm_caps, None, exc
+    return caps, trace, _spectrum(cfg, trace)
 
 
 def _run_chunk(payload):
     """A contiguous chunk of points: one ZOFE batch, then the pseudomode side
-    point by point.  Returns (files written, [(V, caps, overlap or nan, error
-    or None)] of the points with a pseudomode side)."""
+    point by point, taken from ``known`` (by V) where it was computed before
+    and skipped where the ZOFE lane failed.
+
+    Outside a scan each side writes a point's trace and spectrum, and the
+    first failure is raised, a ZOFE one before any pseudomode work.  A scan
+    records a failed point, and writes a point's two spectra, if kept, only
+    when both sides succeed.  Returns (files written, [(V, caps, overlap or
+    nan, error or None)] of the points with a pseudomode side).
+    """
     cfg, points, known, out, scan = payload
     spectra_z, written, rows = [None] * len(points), [], []
     if cfg.method != "pm":
-        spectra_z, written = _zofe_side(cfg, points, out, scan)
-    for point, spec_z in zip(points, spectra_z):
-        if cfg.method != "zofe":
-            *row, files = _pm_side(cfg, point, spec_z, known, out, scan)
-            written += files
-            rows.append((point[0], *row))
+        spectra_z, written = _zofe_side(cfg, points, None if scan else out)
+    failed = [spec_z for spec_z in spectra_z if isinstance(spec_z, Exception)]
+    if failed and not scan:
+        raise failed[0]
+    if cfg.method == "zofe":
+        return written, rows
+    for (v, suffix, agg), spec_z in zip(points, spectra_z):
+        # a failed ZOFE lane stands for the point's pseudomode result
+        caps, trace, spec_p = (cfg.pm_caps, None, spec_z) if isinstance(spec_z, Exception) \
+            else known[v] if v in known else _pm_side(cfg, agg)
+        if isinstance(spec_p, Exception):
+            if not scan:
+                raise spec_p
+            rows.append((v, caps, math.nan, str(spec_p)))
+        elif not scan:
+            written += _write_point(out, "pm", suffix, spec_p, trace)
+            rows.append((v, caps, math.nan, None))
+        else:
+            if cfg.keep_spectra:
+                written += _write_point(out, "zofe", suffix, spec_z) + \
+                    _write_point(out, "pm", suffix, spec_p)
+            rows.append((v, caps, overlap(spec_z, spec_p), None))
     return written, rows
 
 
 def _run(cfg: ScenarioConfig, points, out_dir, threads=1, known=(), scan=False):
-    """Run the points in ``threads`` contiguous chunks, in one worker process
-    each if there are two or more, each with the pseudomode traces of
-    ``known`` (by V) it holds; returns the chunks' results joined in order."""
+    """Run the points in ``threads`` contiguous chunks (the first ones one
+    point longer where they do not divide evenly), in one worker process each
+    if there are two or more, each with the pseudomode results of ``known``
+    (by V) it holds; returns the chunks' results joined in order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    chunks = np.array_split(np.arange(len(points)), max(1, min(threads, len(points))))
-    payloads = [(cfg, [points[i] for i in chunk],
-                 {v: known[v] for v in [points[i][0] for i in chunk] if v in known},
-                 out, scan) for chunk in chunks]
+    n_chunks = max(1, min(threads, len(points)))
+    size, longer = divmod(len(points), n_chunks)
+    bounds = [k * size + min(k, longer) for k in range(n_chunks + 1)]
+    payloads = []
+    for start, end in zip(bounds, bounds[1:]):
+        chunk = points[start:end]
+        payloads.append((cfg, chunk, {v: known[v] for v, _, _ in chunk if v in known}, out, scan))
     if len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_run_chunk, payloads))
@@ -437,13 +470,15 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
     if cfg.scan is None or cfg.method != "both":
         raise ConfigError("vscan needs a [scan] block and method = both")
     points = _points(cfg, "vscan")
-    known = {}  # pseudomode traces computed before the scan, by V
+    known = {}  # pseudomode results computed before the scan, by V
     if cfg.pm_caps is None:
         # Caps are certified once, at the strongest coupling visited, and
         # reused for every point so the scan is consistent and reproducible.
         # That point takes the trace of the rung the ladder accepted.
         v_caps, _, agg = max(points, key=lambda point: abs(point[0]))
-        caps, known[v_caps] = _pm_caps_and_trace(agg, cfg)
+        caps, trace, spectrum = known[v_caps] = _pm_side(cfg, agg)
+        if trace is None:
+            raise spectrum
         cfg = dataclasses.replace(cfg, pm_caps=caps)
     written, rows = _run(cfg, points, out_dir, threads, known, scan=True)
     for v, _, _, error in rows:
@@ -454,11 +489,11 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
     return written, sum(row[3] is not None for row in rows)
 
 
-def run_converge(cfg: ScenarioConfig, out_dir, threads=1):
+def run_converge(cfg: ScenarioConfig, out_dir):
     """Certify the pseudomode cap; write it, the converged spectrum and trace."""
     # the ladder runs on the pseudomode side alone, even with explicit caps
     cfg = dataclasses.replace(cfg, method="pm", pm_caps=None)
-    written, [(_, caps, _, _)] = _run(cfg, _points(cfg, "converge"), out_dir, threads)
+    written, [(_, caps, _, _)] = _run(cfg, _points(cfg, "converge"), out_dir)
     written.insert(0, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("caps",), ([caps],)))
     print(f"converged caps: {caps}")
     return written
@@ -482,8 +517,9 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=("zofe", "pm", "both"),
                        help="override the configured method")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (the couplings are split into "
-                            "chunks; never changes file contents)")
+                       help="worker processes (the couplings of a run are split "
+                            "into chunks; converge has one; never changes the "
+                            "files of a successful run)")
     args = parser.parse_args(argv)
 
     try:
@@ -492,9 +528,10 @@ def main(argv=None) -> int:
             _, n_failed = run_vscan(cfg, args.out, threads=args.threads)
             if n_failed:
                 return 3
+        elif args.command == "spectrum":
+            run_spectrum(cfg, args.out, threads=args.threads)
         else:
-            (run_spectrum if args.command == "spectrum" else run_converge)(
-                cfg, args.out, threads=args.threads)
+            run_converge(cfg, args.out)  # one point: nothing for --threads to split
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

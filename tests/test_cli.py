@@ -227,20 +227,21 @@ def test_vscan_threads_do_not_change_output(tmp_path):
                     .replace("v_min = 0\nv_max = 0\nv_steps = 1",
                              "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
     couplings = (-0.425, -0.2125, 0.0, 0.2125, 0.425)
-    # spectrum with both methods on the same five couplings, and converge
+    # spectrum with both methods on the same five couplings, and converge,
+    # which has one point: --threads has nothing to split there
     spectrum = five.replace("pm_caps = 12", "pm_caps = 12\nv_values = " +
                             " ".join(f"{v:g}" for v in couplings))
     converge = MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")
     written = {}
-    for name, text, run in (("three", three, run_vscan), ("five", five, run_vscan),
-                            ("spectrum", spectrum, run_spectrum),
-                            ("converge", converge, run_converge)):
-        cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
+    for name, text in (("three", three), ("five", five), ("spectrum", spectrum),
+                       ("converge", converge)):
+        cfg_path = write_cfg(tmp_path, text, f"{name}.cfg")
+        command = name if name in ("spectrum", "converge") else "vscan"
         outputs = []
         for n in (1, 2, 3):
             out = tmp_path / name / str(n)
-            result = run(cfg, out, threads=n)
-            assert run is not run_vscan or result[1] == 0
+            assert main([command, "--config", str(cfg_path), "--out", str(out),
+                         "--threads", str(n)]) == 0
             outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert all(files == outputs[0] for files in outputs), name
         written[name] = sorted(outputs[0])
@@ -277,7 +278,7 @@ def test_scan_step_ladder_matches_per_lane_ladder():
     cfg = dataclasses.replace(cfg, propagation=PropagationConfig(dt=0.01, t_max=20.0), eta=0.5)
     aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in (-0.425, 0.425, 0.429)]
     samples, mu_sq, levels, _, _, _ = _run_lanes(aggs, bath, cfg.propagation)
-    spectra, _ = _zofe_side(cfg, [(None, "", agg) for agg in aggs], None, scan=True)
+    spectra, _ = _zofe_side(cfg, [(None, "", agg) for agg in aggs])
     assert list(levels) == [1, 1, 1]
     whole = PropagationConfig(dt=0.005, t_max=20.0)
     for b, agg in enumerate(aggs):
