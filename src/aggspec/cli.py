@@ -17,8 +17,7 @@ Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
 ``converge`` certifies the pseudomode cap, writes it to converged_caps.tsv
 and writes the converged spectrum.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
-numbers, byte-identical across reruns; ``--threads`` only changes wall time
-(see below for a failing run).
+numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
 Every subcommand runs one pipeline over its points, one coupling each: the
 scan grid, the ``v_values`` or the configured aggregate (``converge`` has
@@ -27,10 +26,11 @@ per worker process.  A chunk propagates its ZOFE side as one lane batch
 (``propagate_zofe_lanes``), then runs the pseudomode side point by point.
 A lane stopped by the norm guard restarts inside the batch with a finer step
 over the part of its trace up to the trip (see ``aggspec.zofe``).  A point's
-result does not depend on the chunk it ran in, so the files do not depend on
-the split.  Only a failing ``spectrum`` run does: each chunk stops at its
-own first failure, so the files left and the error reported can depend on
-``--threads``.
+result does not depend on the chunk it ran in, and a failed point stops no
+other: a scan records it, and the other subcommands report the first failure
+in point order once every chunk has ended.  So neither the files nor the
+error depend on the split.  With ``pm_caps = auto`` every point runs the cap
+ladder at its own coupling.
 The pseudomode side takes every trace from the Lanczos recursion of
 ``krylov_correlation``: no time step, dt sets only its sample grid.
 ``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
@@ -327,7 +327,8 @@ def _write_tsv(path, header, columns):
 def _points(cfg: ScenarioConfig, command):
     """The points a subcommand runs, in order: (V, file suffix, aggregate);
     the scan grid of ``vscan``, the ``v_values`` of ``spectrum``, or else the
-    configured aggregate alone (V None, no suffix)."""
+    configured aggregate alone (V None, no suffix).  Points that write files
+    (all but those of a scan without kept spectra) must not share a suffix."""
     couplings = (None,)
     if command == "vscan":
         v_min, v_max, v_steps = cfg.scan
@@ -335,9 +336,14 @@ def _points(cfg: ScenarioConfig, command):
             v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
     elif command == "spectrum" and cfg.v_values:
         couplings = cfg.v_values
-    return [(None, "", cfg.aggregate) if v is None else
-            (float(v), f"_V{v:g}", dataclasses.replace(cfg.aggregate, coupling_v=float(v)))
-            for v in couplings]
+    points = [(None, "", cfg.aggregate) if v is None else
+              (float(v), f"_V{v:g}", dataclasses.replace(cfg.aggregate, coupling_v=float(v)))
+              for v in couplings]
+    suffixes = [suffix for _, suffix, _ in points]
+    if (command != "vscan" or cfg.keep_spectra) and len(set(suffixes)) < len(suffixes):
+        clash = [v for v, suffix, _ in points if suffixes.count(suffix) > 1]
+        raise ConfigError(f"couplings {clash} would write files of the same name")
+    return points
 
 
 def _write_point(out, method, suffix, spectrum, trace=None):
@@ -394,69 +400,61 @@ def _pm_side(cfg: ScenarioConfig, agg):
             caps, trace = pseudomode.converge_caps(
                 agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu)
     except PropagationError as exc:
-        return cfg.pm_caps, None, exc
+        exc.__cause__ = exc.__context__ = None  # a chained error's frames hold rungs
+        return cfg.pm_caps, None, exc.with_traceback(None)
     return caps, trace, _spectrum(cfg, trace)
 
 
 def _run_chunk(payload):
     """A contiguous chunk of points: one ZOFE batch, then the pseudomode side
-    point by point, taken from ``known`` (by V) where it was computed before
-    and skipped where the ZOFE lane failed.
-
-    Outside a scan each side writes a point's trace and spectrum, and the
-    first failure is raised, a ZOFE one before any pseudomode work.  A scan
-    records a failed point, and writes a point's two spectra, if kept, only
-    when both sides succeed.  Returns (files written, [(V, caps, overlap or
-    nan, error or None)] of the points with a pseudomode side).
-    """
-    cfg, points, known, out, scan = payload
+    point by point.  Outside a scan each side writes a point's trace and
+    spectrum; a scan writes a point's two spectra, if kept, only when both
+    sides succeed.  Returns (files written, [(V, caps, overlap or nan, error
+    or None)] per point): a failed point is recorded, not raised."""
+    cfg, points, out, scan = payload
     spectra_z, written, rows = [None] * len(points), [], []
     if cfg.method != "pm":
         spectra_z, written = _zofe_side(cfg, points, None if scan else out)
-    failed = [spec_z for spec_z in spectra_z if isinstance(spec_z, Exception)]
-    if failed and not scan:
-        raise failed[0]
-    if cfg.method == "zofe":
-        return written, rows
     for (v, suffix, agg), spec_z in zip(points, spectra_z):
-        # a failed ZOFE lane stands for the point's pseudomode result
-        caps, trace, spec_p = (cfg.pm_caps, None, spec_z) if isinstance(spec_z, Exception) \
-            else known[v] if v in known else _pm_side(cfg, agg)
-        if isinstance(spec_p, Exception):
-            if not scan:
-                raise spec_p
-            rows.append((v, caps, math.nan, str(spec_p)))
-        elif not scan:
+        # the ZOFE result stands for the point where it has no pseudomode
+        # side (method zofe: written, so None) or where its lane failed
+        caps, trace, spec_p = (cfg.pm_caps, None, spec_z) \
+            if cfg.method == "zofe" or isinstance(spec_z, Exception) else _pm_side(cfg, agg)
+        if spec_p is None or isinstance(spec_p, Exception):
+            rows.append((v, caps, math.nan, spec_p))
+            continue
+        if not scan:
             written += _write_point(out, "pm", suffix, spec_p, trace)
-            rows.append((v, caps, math.nan, None))
-        else:
-            if cfg.keep_spectra:
-                written += _write_point(out, "zofe", suffix, spec_z) + \
-                    _write_point(out, "pm", suffix, spec_p)
-            rows.append((v, caps, overlap(spec_z, spec_p), None))
+        elif cfg.keep_spectra:
+            written += _write_point(out, "zofe", suffix, spec_z) + \
+                _write_point(out, "pm", suffix, spec_p)
+        rows.append((v, caps, overlap(spec_z, spec_p) if scan else math.nan, None))
     return written, rows
 
 
-def _run(cfg: ScenarioConfig, points, out_dir, threads=1, known=(), scan=False):
+def _run(cfg: ScenarioConfig, points, out_dir, threads=1, scan=False):
     """Run the points in ``threads`` contiguous chunks (the first ones one
     point longer where they do not divide evenly), in one worker process each
-    if there are two or more, each with the pseudomode results of ``known``
-    (by V) it holds; returns the chunks' results joined in order."""
+    if there are two or more; returns the chunks' files and records joined in
+    order.  A scan lists its failures on stderr; other runs raise the first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_chunks = max(1, min(threads, len(points)))
     size, longer = divmod(len(points), n_chunks)
     bounds = [k * size + min(k, longer) for k in range(n_chunks + 1)]
-    payloads = []
-    for start, end in zip(bounds, bounds[1:]):
-        chunk = points[start:end]
-        payloads.append((cfg, chunk, {v: known[v] for v, _, _ in chunk if v in known}, out, scan))
+    payloads = [(cfg, points[start:end], out, scan) for start, end in zip(bounds, bounds[1:])]
     if len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_run_chunk, payloads))
     else:
         results = [_run_chunk(payloads[0])]
-    return [p for files, _ in results for p in files], [r for _, rows in results for r in rows]
+    rows = [r for _, chunk_rows in results for r in chunk_rows]
+    for v, _, _, error in rows:
+        if error is not None and scan:
+            print(f"scan point V = {v:g} failed: {error}", file=sys.stderr)
+        elif error is not None:
+            raise error
+    return [p for files, _ in results for p in files], rows
 
 
 def run_spectrum(cfg: ScenarioConfig, out_dir, threads=1) -> list:
@@ -469,21 +467,7 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
     overlap.tsv (ascending V), failed points as nan; returns (paths, n_failed)."""
     if cfg.scan is None or cfg.method != "both":
         raise ConfigError("vscan needs a [scan] block and method = both")
-    points = _points(cfg, "vscan")
-    known = {}  # pseudomode results computed before the scan, by V
-    if cfg.pm_caps is None:
-        # Caps are certified once, at the strongest coupling visited, and
-        # reused for every point so the scan is consistent and reproducible.
-        # That point takes the trace of the rung the ladder accepted.
-        v_caps, _, agg = max(points, key=lambda point: abs(point[0]))
-        caps, trace, spectrum = known[v_caps] = _pm_side(cfg, agg)
-        if trace is None:
-            raise spectrum
-        cfg = dataclasses.replace(cfg, pm_caps=caps)
-    written, rows = _run(cfg, points, out_dir, threads, known, scan=True)
-    for v, _, _, error in rows:
-        if error is not None:
-            print(f"scan point V = {v:g} failed: {error}", file=sys.stderr)
+    written, rows = _run(cfg, _points(cfg, "vscan"), out_dir, threads, scan=True)
     written.insert(0, _write_tsv(Path(out_dir) / "overlap.tsv", ("V", "overlap_percent"),
                                  [[row[0] for row in rows], [row[2] for row in rows]]))
     return written, sum(row[3] is not None for row in rows)
@@ -519,7 +503,7 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes (the couplings of a run are split "
                             "into chunks; converge has one; never changes the "
-                            "files of a successful run)")
+                            "files or the error)")
     args = parser.parse_args(argv)
 
     try:

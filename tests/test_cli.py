@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggspec import pseudomode
+from aggspec import cli, pseudomode
 from aggspec.cli import (
     _TSV_CHUNK,
     ConfigError,
@@ -396,10 +396,9 @@ pm_tolerance = 1e-3
             (tmp_path / "converge" / name).read_bytes()
 
 
-def test_vscan_auto_caps_reuses_the_ladder_trace(tmp_path, monkeypatch):
-    # the ladder certifies caps 8 at V = -0.4 (rungs 1, 2, 4, 8, 16); that
-    # point takes the accepted rung's trace, shipped to whichever chunk holds
-    # it, so only V = 0 and 0.4 compute a trace of their own
+def test_vscan_auto_caps_certifies_every_point(tmp_path, monkeypatch):
+    # each point runs the cap ladder at its own coupling (caps 8 at all three
+    # here), and no pseudomode trace is computed outside a ladder
     text = """
 [aggregate]
 n_monomers = 3
@@ -424,18 +423,90 @@ v_steps = 3
 """
     cfg = load_scenario(write_cfg(tmp_path, text))
     assert run_vscan(cfg, tmp_path / "2", threads=2)[1] == 0
-    calls = []
-    original = pseudomode._generator_and_state
+    ladders, outside, in_ladder = [], [], []
+    converge_caps, krylov_correlation = pseudomode.converge_caps, pseudomode.krylov_correlation
 
-    def counted(agg, bath, caps):
-        calls.append((agg.coupling_v, caps))
-        return original(agg, bath, caps)
+    def ladder(agg, *args, **kwargs):
+        in_ladder.append(True)
+        try:
+            caps, trace = converge_caps(agg, *args, **kwargs)
+        finally:
+            in_ladder.pop()
+        ladders.append((agg.coupling_v, caps))
+        return caps, trace
 
-    monkeypatch.setattr(pseudomode, "_generator_and_state", counted)
+    def krylov(agg, *args, **kwargs):
+        if not in_ladder:
+            outside.append(agg.coupling_v)
+        return krylov_correlation(agg, *args, **kwargs)
+
+    monkeypatch.setattr(pseudomode, "converge_caps", ladder)
+    monkeypatch.setattr(pseudomode, "krylov_correlation", krylov)
     assert run_vscan(cfg, tmp_path / "1", threads=1)[1] == 0
-    assert calls == [(-0.4, cap) for cap in (1, 2, 4, 8, 16)] + [(0.0, 8), (0.4, 8)]
+    assert ladders == [(-0.4, 8), (0.0, 8), (0.4, 8)]
+    assert outside == []
     assert (tmp_path / "1" / "overlap.tsv").read_bytes() == \
         (tmp_path / "2" / "overlap.tsv").read_bytes()
+
+
+def test_a_failing_spectrum_run_does_not_depend_on_threads(tmp_path, monkeypatch, capsys):
+    # a pseudomode failure at the first coupling and a ZOFE lane failure at
+    # the last: every split leaves the files of the sides that succeeded and
+    # reports the first failure in point order (worker processes fork, so
+    # they run the patched sides)
+    pm_side, zofe_lanes = cli._pm_side, cli.propagate_zofe_lanes
+
+    def failing_pm_side(cfg, agg):
+        if agg.coupling_v == -0.2:
+            return cfg.pm_caps, None, PropagationError("pseudomode failed at V = -0.2")
+        return pm_side(cfg, agg)
+
+    def failing_zofe_lanes(aggs, bath, config):
+        return [PropagationError("ZOFE failed at V = 0.2") if agg.coupling_v == 0.2 else trace
+                for agg, trace in zip(aggs, zofe_lanes(aggs, bath, config))]
+
+    monkeypatch.setattr(cli, "_pm_side", failing_pm_side)
+    monkeypatch.setattr(cli, "propagate_zofe_lanes", failing_zofe_lanes)
+    path = write_cfg(tmp_path, STICK_CFG.replace("[run]", "[run]\nv_values = -0.2 0 0.2"))
+    outputs = []
+    for n in (1, 2, 3):
+        out = tmp_path / str(n)
+        assert main(["spectrum", "--config", str(path), "--out", str(out),
+                     "--threads", str(n)]) == 2
+        outputs.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()))
+    assert all(output == outputs[0] for output in outputs)
+    files, (stdout, stderr) = outputs[0]
+    assert sorted(files) == sorted(f"{kind}_{method}_V{v}.tsv" for kind in ("spectrum", "trace")
+                                   for method, v in (("zofe", -0.2), ("zofe", 0), ("pm", 0)))
+    assert (stdout, stderr) == ("", "solver error: pseudomode failed at V = -0.2\n")
+
+
+def test_a_recorded_ladder_error_holds_no_frames(tmp_path, monkeypatch):
+    # the ladder's budget error chains the error it caught, whose traceback
+    # holds the ladder's rungs; a failed point records neither
+    monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 6)  # caps 4 at most
+    cfg = load_scenario(write_cfg(tmp_path, MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")))
+    caps, trace, error = cli._pm_side(cfg, cfg.aggregate)
+    assert (caps, trace, type(error)) == (None, None, pseudomode.CapConvergenceError)
+    assert error.__traceback__ is None and error.__cause__ is None and error.__context__ is None
+
+
+def test_couplings_that_share_file_names_are_a_config_error(tmp_path, capsys):
+    # _V{v:g} keeps six significant digits: two couplings that agree in them
+    # would overwrite each other's files
+    spectrum = write_cfg(tmp_path, STICK_CFG.replace("[run]", "[run]\nv_values = 0.1 0.1000001"),
+                         "spectrum.cfg")
+    scan = VSCAN_CFG.replace("v_min = 0\nv_max = 0\nv_steps = 1",
+                             "v_min = 1.0\nv_max = 1.000001\nv_steps = 3")
+    kept = write_cfg(tmp_path, scan + "keep_spectra = true\n", "kept.cfg")
+    for command, path in (("spectrum", spectrum), ("vscan", kept)):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "would write files of the same name" in capsys.readouterr().err
+        assert not out.exists()
+    # a scan that keeps no spectra writes only overlap.tsv, so it may zoom in
+    fine = load_scenario(write_cfg(tmp_path, scan, "fine.cfg"))
+    assert [suffix for _, suffix, _ in cli._points(fine, "vscan")] == ["_V1"] * 3
 
 
 def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
