@@ -20,12 +20,12 @@ import importlib
 
 from .model import (
     AggregateSpec,
-    BathTerms,
     LorentzianBath,
     bath_correlation,
     build_system_hamiltonian,
     huang_rhys_to_gamma,
     initial_bright_state,
+    mirror_slots,
     spectral_density,
 )
 from .propagation import PropagationConfig, PropagationError, default_time_step
@@ -35,6 +35,7 @@ from .spectra import (
     TraceTailError,
     absorption_from_trace,
     cumulant_oracle,
+    default_nu_grid,
     markov_oracle,
     mean_shift,
     overlap,
@@ -50,8 +51,8 @@ __version__ = "0.1.0"
 
 _PSEUDOMODE_NAMES = frozenset({
     "BasisSizeError", "CapConvergenceError", "assemble_generator", "converge_caps",
-    "embed_initial_state", "enumerate_basis", "krylov_correlation", "pm_correlation",
-    "propagate_pm",
+    "count_occupation_vectors", "count_states", "embed_initial_state", "enumerate_basis",
+    "krylov_correlation", "pm_correlation", "propagate_pm",
 })
 
 

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "AggregateSpec",
     "LorentzianBath",
-    "BathTerms",
     "mirror_slots",
     "build_system_hamiltonian",
     "initial_bright_state",
@@ -37,8 +36,8 @@ __all__ = [
 ]
 
 
-def _as_readonly(a):
-    a = np.array(a, dtype=float)
+def _as_readonly(a, dtype=float):
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -124,12 +123,20 @@ class LorentzianBath:
     defined by the correlation function alpha_n(tau), for which any real
     centre is meaningful: Omega = 0 gives the overdamped exponential used in
     the Markov limit, and +/-Omega pairs give a real alpha.
+
+    Both solvers read the terms flattened in (monomer, term) order, as the
+    read-only arrays ``monomer`` (owner index), ``z`` (decay
+    1j*Omega + gamma) and ``gamma_amp`` (weight Gamma) of length ``count``:
+    a ZOFE auxiliary operator and a pseudomode occupation slot belong to one
+    flattened term each, with centre ``z.imag``, width ``z.real`` and
+    coupling ``sqrt(gamma_amp)``.  They are not fields, so equality, hashing
+    and the repr read ``terms`` alone.
     """
 
     terms: tuple
 
     def __post_init__(self):
-        norm = []
+        norm, owners, zs, amps = [], [], [], []
         for n, monomer_terms in enumerate(self.terms):
             checked = []
             for term in monomer_terms:
@@ -141,8 +148,18 @@ class LorentzianBath:
                 if width < 0:
                     raise ValueError(f"monomer {n}: width must be >= 0")
                 checked.append((gamma_amp, center, width))
+                owners.append(n)
+                zs.append(1j * center + width)
+                amps.append(gamma_amp)
             norm.append(tuple(checked))
         object.__setattr__(self, "terms", tuple(norm))
+        object.__setattr__(self, "monomer", _as_readonly(owners, int))
+        object.__setattr__(self, "z", _as_readonly(zs, complex))
+        object.__setattr__(self, "gamma_amp", _as_readonly(amps))
+
+    def __reduce__(self):
+        # an unpickled bath rebuilds its read-only flat arrays from the terms
+        return type(self), (self.terms,)
 
     @classmethod
     def uniform(cls, n_monomers, monomer_terms):
@@ -167,59 +184,31 @@ class LorentzianBath:
     def n_monomers(self):
         return len(self.terms)
 
+    @property
+    def count(self):
+        """Number of flattened terms, the length of ``monomer``, ``z`` and ``gamma_amp``."""
+        return self.monomer.size
+
     def alpha0(self, monomer):
         """alpha_n(0) = sum_j Gamma_nj (real, >= 0)."""
         return float(sum(t[0] for t in self.terms[monomer]))
 
 
-@dataclass(frozen=True)
-class BathTerms:
-    """Flattened (monomer, term) list: owner index, decay z = 1j*Omega + gamma,
-    and weight Gamma for each exponential of the bath correlation.
-
-    Both solvers read the bath in this form: a ZOFE auxiliary operator and a
-    pseudomode occupation slot belong to one flattened term each, with centre
-    ``z.imag``, width ``z.real`` and coupling ``sqrt(gamma_amp)``.
-    """
-
-    monomer: np.ndarray
-    z: np.ndarray
-    gamma_amp: np.ndarray
-
-    @classmethod
-    def from_bath(cls, bath: LorentzianBath):
-        owners, zs, amps = [], [], []
-        for n, monomer_terms in enumerate(bath.terms):
-            for gamma_amp, center, width in monomer_terms:
-                owners.append(n)
-                zs.append(1j * center + width)
-                amps.append(gamma_amp)
-        return cls(
-            monomer=np.asarray(owners, dtype=int),
-            z=np.asarray(zs, dtype=complex),
-            gamma_amp=np.asarray(amps, dtype=float),
-        )
-
-    @property
-    def count(self):
-        return self.monomer.size
-
-
-def mirror_slots(agg: AggregateSpec, bath: LorentzianBath, terms: BathTerms):
+def mirror_slots(agg: AggregateSpec, bath: LorentzianBath):
     """The mirror image of each flattened bath term, or None where the chain
     has no mirror symmetry.
 
     With palindromic site energies and per-monomer bath term lists, the site
     reversal n -> N-1-n maps the Hamiltonian and the bath onto themselves
     (V is uniform); term j of monomer n then has term j of monomer N-1-n as
-    its image, and the middle monomer's terms are their own.  ``terms`` is
-    ``BathTerms.from_bath(bath)``.  The dipoles are not checked.
+    its image, and the middle monomer's terms are their own.  The dipoles
+    are not checked.
     """
     if not ((agg.epsilon == agg.epsilon[::-1]).all() and bath.terms == bath.terms[::-1]):
         return None
-    first = np.searchsorted(terms.monomer, np.arange(agg.n_monomers))
-    image = agg.n_monomers - 1 - terms.monomer
-    return first[image] + np.arange(terms.count) - first[terms.monomer]
+    first = np.searchsorted(bath.monomer, np.arange(agg.n_monomers))
+    image = agg.n_monomers - 1 - bath.monomer
+    return first[image] + np.arange(bath.count) - first[bath.monomer]
 
 
 def build_system_hamiltonian(agg: AggregateSpec) -> np.ndarray:
@@ -249,15 +238,8 @@ def initial_bright_state(agg: AggregateSpec):
         sqrt(sum_n |mu_n . E|^2), the dipole prefactor of the correlation
         function (mu_tot**2 multiplies <psi0|psi(t)>).
     """
-    proj = agg.mu_projections
-    mu_tot_sq = float(proj @ proj)
-    if not mu_tot_sq > 0:
-        raise ValueError(
-            "dark initial state: all transition dipoles are orthogonal "
-            "to the light polarization"
-        )
-    mu_tot = math.sqrt(mu_tot_sq)
-    return proj.astype(complex) / mu_tot, mu_tot
+    mu_tot = math.sqrt(agg.mu_tot_sq)
+    return agg.mu_projections.astype(complex) / mu_tot, mu_tot
 
 
 def bath_correlation(bath: LorentzianBath, monomer: int, tau):

@@ -18,8 +18,8 @@ is very sparse; matrix-vector products are the only operation needed.
 Truncation is hard: ladder transitions leaving the enumerated set are
 dropped; ``converge_caps`` certifies the cap on a doubling ladder.
 
-The basis is one block of occupation vectors beta, slots ordered as in
-``BathTerms``, in lexicographic order; state (n, beta) is index
+The basis is one block of occupation vectors beta, slots ordered as the
+bath's flat terms, in lexicographic order; state (n, beta) is index
 n * n_vectors + rank(beta), so every electronic state n owns one copy of the
 block.  Assembly finds its targets by index: a hop is i -> i + n_vectors,
 and a ladder step of slot s lowers beta_s within the block of the slot's own
@@ -84,7 +84,6 @@ import scipy.sparse
 
 from .model import (
     AggregateSpec,
-    BathTerms,
     LorentzianBath,
     initial_bright_state,
     mirror_slots,
@@ -258,21 +257,20 @@ def assemble_generator(
     """
     if bath.n_monomers != agg.n_monomers:
         raise ValueError("bath must provide a term list per monomer")
-    terms = BathTerms.from_bath(bath)
     occupations = np.asarray(occupations)
-    n_vectors = count_occupation_vectors(terms.count, cap)
-    if occupations.shape != (n_vectors, terms.count):
+    n_vectors = count_occupation_vectors(bath.count, cap)
+    if occupations.shape != (n_vectors, bath.count):
         raise ValueError(
             f"occupation block of shape {occupations.shape} does not match the "
-            f"bath and cap {cap}: expected ({n_vectors}, {terms.count})"
+            f"bath and cap {cap}: expected ({n_vectors}, {bath.count})"
         )
-    table = _count_table(terms.count, cap)
+    table = _count_table(bath.count, cap)
     hop_value = -1j * agg.coupling_v
     # whole electronic blocks, and the rows of the middle monomer's block of
     # an odd folded chain
     blocks, middle = agg.n_monomers, np.empty(0, dtype=np.int64)
     if fold:
-        mirror = mirror_slots(agg, bath, terms)
+        mirror = mirror_slots(agg, bath)
         if mirror is None:
             raise ValueError("folding needs palindromic site energies and bath term lists")
         image = _ranks(occupations, table, cap, mirror)  # the row of each vector's mirror image
@@ -291,7 +289,7 @@ def assemble_generator(
     # block of the slot's own monomer, to the row of beta - e_s in that
     # block; a hop, s = None, joins (n, k) to (n + 1, k) with value -1j*V.
     links = []
-    for s, owner in enumerate(terms.monomer):
+    for s, owner in enumerate(bath.monomer):
         if owner >= written:
             continue  # the mirror image of a folded row's block
         upper = np.flatnonzero(occupations[:, s] > 0)
@@ -343,7 +341,7 @@ def assemble_generator(
 
     # the diagonal, one block at a time: eps_n plus the occupation sums
     damping = np.zeros(n_vectors)
-    for z, b in zip(terms.z, occupations.T):
+    for z, b in zip(bath.z, occupations.T):
         damping += z.real * b
     for n, eps in enumerate(agg.epsilon[:written]):
         rows = middle if n == blocks else slice(None)
@@ -351,7 +349,7 @@ def assemble_generator(
         at = fill[first:first + (middle.size if n == blocks else n_vectors)]
         indices[at] = np.arange(first, first + at.size, dtype=index)
         energy = np.full(n_vectors, eps)
-        for z, b in zip(terms.z, occupations.T):
+        for z, b in zip(bath.z, occupations.T):
             energy += z.imag * b
         diagonal = -1j * energy
         diagonal -= damping
@@ -360,12 +358,12 @@ def assemble_generator(
         data[at] = diagonal[rows]
     del damping, energy, diagonal
     fill += 1
-    couplings = np.sqrt(terms.gamma_amp)
+    couplings = np.sqrt(bath.gamma_amp)
     for i, j, s, value in links:
         if s is not None:
             # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of
             # its upper row i
-            owner = terms.monomer[s]
+            owner = bath.monomer[s]
             rows = i - owner * n_vectors if owner < blocks else middle[i - blocks * n_vectors]
             value = 1j * couplings[s] * np.sqrt(occupations[rows, s])
         for row, col in ((i, j), (j, i)):
@@ -457,7 +455,7 @@ def _folds(agg, bath):
     (``mirror_slots``) and palindromic dipole projections."""
     mu = agg.mu_projections
     return (agg.n_monomers > 1 and (mu == mu[::-1]).all()
-            and mirror_slots(agg, bath, BathTerms.from_bath(bath)) is not None)
+            and mirror_slots(agg, bath) is not None)
 
 
 def _generator_and_state(agg, bath, caps):

@@ -205,9 +205,8 @@ def mean_shift(spec: Spectrum):
 def _resampled_pair(spec_a: Spectrum, spec_b: Spectrum):
     """Both value arrays on the union of the two grids, zero outside a
     spectrum's own grid.  Every sample of either spectrum stays a grid point,
-    so resampling cannot drop a peak that falls between the other's points."""
-    if spec_a.nu.size == spec_b.nu.size and np.array_equal(spec_a.nu, spec_b.nu):
-        return spec_a.nu, spec_a.values, spec_b.values
+    so resampling cannot drop a peak that falls between the other's points.
+    On one shared grid the grid and both arrays come back unchanged."""
     grid = np.union1d(spec_a.nu, spec_b.nu)
     fa = np.interp(grid, spec_a.nu, spec_a.values, left=0.0, right=0.0)
     fb = np.interp(grid, spec_b.nu, spec_b.values, left=0.0, right=0.0)

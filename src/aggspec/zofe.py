@@ -60,7 +60,6 @@ import numpy as np
 
 from .model import (
     AggregateSpec,
-    BathTerms,
     LorentzianBath,
     build_system_hamiltonian,
     initial_bright_state,
@@ -96,10 +95,11 @@ def coupling_operators(n_monomers: int) -> np.ndarray:
     return ops
 
 
-def zofe_rhs(psi, aux, h_sys: np.ndarray, terms: BathTerms, l_ops: np.ndarray):
+def zofe_rhs(psi, aux, h_sys: np.ndarray, bath: LorentzianBath, l_ops: np.ndarray):
     """Time derivative of (psi, aux) for the closed ZOFE system.
 
-    ``aux[k]`` is the N x N operator Q[n,j] of the k-th flattened bath term.
+    ``aux[k]`` is the N x N operator Q[n,j] of the k-th flattened bath term
+    (``bath.monomer``, ``bath.z``, ``bath.gamma_amp``).
     General form for arbitrary coupling operators ``l_ops`` (one N x N
     operator per monomer); the propagator uses the specialised batched form
     for L[n] = -|pi_n><pi_n|.  Returns the pair (dpsi, daux) with the shapes
@@ -108,20 +108,20 @@ def zofe_rhs(psi, aux, h_sys: np.ndarray, terms: BathTerms, l_ops: np.ndarray):
     n = psi.shape[0]
     if h_sys.shape != (n, n):
         raise ValueError("h_sys dimension does not match the state vector")
-    if aux.shape != (terms.count, n, n):
+    if aux.shape != (bath.count, n, n):
         raise ValueError("aux stack does not match the bath term list")
     if l_ops.shape != (n, n, n):
         raise ValueError("need one N x N coupling operator per monomer")
     qbar = np.zeros((n, n, n), dtype=complex)
-    for k in range(terms.count):
-        qbar[terms.monomer[k]] += aux[k]
+    for k in range(bath.count):
+        qbar[bath.monomer[k]] += aux[k]
     k_op = -1j * h_sys - np.einsum("mji,mjk->ik", l_ops.conj(), qbar)
-    daux = k_op @ aux - aux @ k_op - terms.z[:, None, None] * aux
-    daux += terms.gamma_amp[:, None, None] * l_ops[terms.monomer]
+    daux = k_op @ aux - aux @ k_op - bath.z[:, None, None] * aux
+    daux += bath.gamma_amp[:, None, None] * l_ops[bath.monomer]
     return k_op @ psi, daux
 
 
-def _mirror_layout(agg: AggregateSpec, bath: LorentzianBath, terms: BathTerms):
+def _mirror_layout(agg: AggregateSpec, bath: LorentzianBath):
     """Which carried auxiliary each flattened bath term of a lane reads.
 
     A mirror-symmetric lane (module docstring) carries the terms of monomers
@@ -129,9 +129,9 @@ def _mirror_layout(agg: AggregateSpec, bath: LorentzianBath, terms: BathTerms):
     (source, flip): term k is R Q R of carried term source[k] where flip[k],
     else carried term source[k] = k.  In any other lane no term flips.
     """
-    source, mirror = np.arange(terms.count), mirror_slots(agg, bath, terms)
+    source, mirror = np.arange(bath.count), mirror_slots(agg, bath)
     if mirror is None:
-        return source, np.zeros(terms.count, dtype=bool)
+        return source, np.zeros(bath.count, dtype=bool)
     return np.minimum(mirror, source), mirror < source
 
 
@@ -152,12 +152,12 @@ class _LaneRhs:
     constant blocks are written once per batch; ``select`` only drops lanes.
     """
 
-    def __init__(self, minus_ih, terms, sources, flips):
+    def __init__(self, minus_ih, baths, sources, flips):
         b, n, _ = minus_ih.shape
         carried = [int((~flip).sum()) for flip in flips]
         # an empty bath keeps one inert slot (Q = z = S = 0) to carry psi
         monomer, z, amp = (np.zeros((b, max(*carried, 1)), dtype=d) for d in (int, complex, float))
-        for lane, (t, c) in enumerate(zip(terms, carried)):
+        for lane, (t, c) in enumerate(zip(baths, carried)):
             monomer[lane, :c], z[lane, :c], amp[lane, :c] = t.monomer[:c], t.z[:c], t.gamma_amp[:c]
         # Row n of -sum_n L[n]^dag Qbar[n] is the sum of row n of Q[k] over
         # the terms k of monomer n.  A term that is not carried is R Q[s] R,
@@ -168,9 +168,9 @@ class _LaneRhs:
         self.right = np.zeros((*monomer.shape, 2 * n, n + 1), dtype=complex)
         lane_size = self.right[0].size
         index = np.arange(lane_size).reshape(self.right.shape[1:])
-        width = max((np.bincount(t.monomer, minlength=n).max() for t in terms if t.count), default=1)
+        width = max((np.bincount(t.monomer, minlength=n).max() for t in baths if t.count), default=1)
         pick = np.full((b, n, n, width), index[0, n, n])
-        for lane, (t, source, flip) in enumerate(zip(terms, sources, flips)):
+        for lane, (t, source, flip) in enumerate(zip(baths, sources, flips)):
             for k, (row, s, f) in enumerate(zip(t.monomer, source, flip)):
                 j = np.count_nonzero(t.monomer[:k] == row)
                 pick[lane, row, :, j] = index[s, n - 1 - row, n - 1::-1] if f else index[k, row, :n]
@@ -221,14 +221,14 @@ def _run_lanes(aggs, baths, config: PropagationConfig):
     valid), and the final psi (B, N, 1) and aux (B, K, N, N) of every term.
     """
     baths = [baths] * len(aggs) if isinstance(baths, LorentzianBath) else baths
-    n, terms = aggs[0].n_monomers, [BathTerms.from_bath(bath) for bath in baths]
-    shapes = {(agg.n_monomers, bath.n_monomers, t.count) for agg, bath, t in zip(aggs, baths, terms)}
-    if len(baths) != len(aggs) or shapes != {(n, n, terms[0].count)}:
+    n = aggs[0].n_monomers
+    shapes = {(agg.n_monomers, bath.n_monomers, bath.count) for agg, bath in zip(aggs, baths)}
+    if len(baths) != len(aggs) or shapes != {(n, n, baths[0].count)}:
         raise ValueError("a batch needs one bath per lane, and the lanes need the same "
                          "number of monomers and of bath terms")
-    sources, flips = (np.stack(a) for a in zip(*map(_mirror_layout, aggs, baths, terms)))
+    sources, flips = (np.stack(a) for a in zip(*map(_mirror_layout, aggs, baths)))
     rhs = _LaneRhs(np.stack([-1j * build_system_hamiltonian(agg) for agg in aggs]),
-                   terms, sources, flips)
+                   baths, sources, flips)
     bright = [initial_bright_state(agg) for agg in aggs]
     psi0 = np.stack([p for p, _ in bright])
     mu_sq = np.array([mu_tot**2 for _, mu_tot in bright])

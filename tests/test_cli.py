@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -680,6 +681,23 @@ def test_cli_import_does_not_load_scipy_linalg():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_package_exports_every_public_name():
+    # the package's eager names are exactly the submodules' __all__ and the
+    # three names of propagation (which has none), so a removed or renamed
+    # name cannot linger; the pseudomode names resolve lazily, so a
+    # ZOFE-only run never loads them (the next test)
+    import aggspec
+    from aggspec import model, spectra, zofe
+
+    eager = {name for name, value in vars(aggspec).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert eager == {*model.__all__, *spectra.__all__, *zofe.__all__,
+                     "PropagationConfig", "PropagationError", "default_time_step"}
+    for module in (model, spectra, zofe, pseudomode):
+        for name in module.__all__:
+            assert getattr(aggspec, name) is getattr(module, name)
 
 
 def test_zofe_only_run_does_not_load_scipy_sparse(tmp_path):

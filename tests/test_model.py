@@ -1,7 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from aggspec.model import (
@@ -164,6 +166,49 @@ def test_bath_term_validation():
         LorentzianBath.uniform(1, [(0.5, 1.0, -0.1)])
     empty = LorentzianBath.uniform(2, [])
     assert empty.alpha0(0) == 0.0
+
+
+@st.composite
+def random_baths(draw):
+    """Up to four monomers with up to three terms each; some may have none."""
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
+    term = st.tuples(real(1e-3, 2.0), real(-2.0, 2.0), real(0.0, 1.0))
+    terms = draw(st.lists(st.lists(term, max_size=3), min_size=1, max_size=4))
+    return LorentzianBath(tuple(tuple(t) for t in terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_baths())
+def test_flat_terms_follow_the_per_monomer_order(bath):
+    # the (monomer, term) flattening both solvers read, written out here
+    owners, zs, amps = [], [], []
+    for n, monomer_terms in enumerate(bath.terms):
+        for gamma_amp, center, width in monomer_terms:
+            owners.append(n)
+            zs.append(1j * center + width)
+            amps.append(gamma_amp)
+    assert bath.count == len(owners)
+    for name, expected, dtype in (("monomer", owners, int), ("z", zs, complex),
+                                  ("gamma_amp", amps, float)):
+        array = getattr(bath, name)
+        assert array.dtype == np.dtype(dtype) and array.shape == (bath.count,)
+        assert np.array_equal(array, np.asarray(expected, dtype=dtype))
+        assert not array.flags.writeable
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(random_baths())
+def test_bath_identity_reads_the_terms_alone(bath):
+    # worker processes receive a pickled bath; a copy built from the same
+    # terms, or unpickled, equals it, hashes alike and keeps read-only arrays
+    assert repr(bath) == f"LorentzianBath(terms={bath.terms!r})"
+    twin = LorentzianBath(bath.terms)
+    copy = pickle.loads(pickle.dumps(bath))
+    for other in (twin, copy):
+        assert other == bath and hash(other) == hash(bath) and repr(other) == repr(bath)
+        for name in ("monomer", "z", "gamma_amp"):
+            assert np.array_equal(getattr(other, name), getattr(bath, name))
+            assert not getattr(other, name).flags.writeable
 
 
 def test_spectral_density_peak_and_half_width():

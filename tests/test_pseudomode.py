@@ -12,7 +12,7 @@ import scipy.sparse
 from aggspec import pseudomode
 from aggspec.cli import main
 from aggspec.model import (
-    AggregateSpec, BathTerms, LorentzianBath, initial_bright_state, mirror_slots,
+    AggregateSpec, LorentzianBath, initial_bright_state, mirror_slots,
 )
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.pseudomode import (
@@ -366,7 +366,7 @@ def mirror_orbit_basis(agg, bath, occupations):
     """One column per orbit of the mirror P, in the order of its first state
     r: (e_r + e_P(r)) / sqrt(2) for a pair, e_r for a fixed point.  P(n, beta)
     is (N-1-n, beta with the slots of monomers m and N-1-m swapped)."""
-    slots = mirror_slots(agg, bath, BathTerms.from_bath(bath))
+    slots = mirror_slots(agg, bath)
     index = {beta: k for k, beta in enumerate(rows(occupations))}
     n, n_vectors = agg.n_monomers, len(occupations)
     columns = []
@@ -430,7 +430,7 @@ def test_folded_trace_matches_the_full_basis(n_monomers, v, bath, caps, monkeypa
     agg = AggregateSpec.equal_parallel(n_monomers, coupling_v=v)
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
     occupations = enumerate_basis(n_monomers, [len(t) for t in bath.terms], caps)
-    slots = mirror_slots(agg, bath, BathTerms.from_bath(bath))
+    slots = mirror_slots(agg, bath)
     fixed = n_monomers % 2 * int(np.all(occupations[:, slots] == occupations, axis=1).sum())
     assert pseudomode._generator_and_state(agg, bath, caps)[0].shape[0] == \
         (n_monomers * len(occupations) + fixed) // 2

@@ -17,7 +17,6 @@ from aggspec import zofe
 from aggspec.zofe import (
     _MAX_LEVEL,
     _REFINE_MARGIN,
-    BathTerms,
     _LaneRhs,
     _mirror_layout,
     _run_lanes,
@@ -41,16 +40,15 @@ def reference_run(agg, bath, config, level=0, prefix=0):
     Returns the samples, or k if the norm guard trips in grid step k.
     """
     h_sys = build_system_hamiltonian(agg)
-    terms = BathTerms.from_bath(bath)
     l_ops = coupling_operators(agg.n_monomers)
     psi0, mu_tot = initial_bright_state(agg)
     mu_sq = mu_tot**2
 
     def rhs(psi, aux):
-        return zofe_rhs(psi, aux, h_sys, terms, l_ops)
+        return zofe_rhs(psi, aux, h_sys, bath, l_ops)
 
     psi = psi0.copy()
-    aux = np.zeros((terms.count, agg.n_monomers, agg.n_monomers), dtype=complex)
+    aux = np.zeros((bath.count, agg.n_monomers, agg.n_monomers), dtype=complex)
     samples = [mu_sq * np.vdot(psi0, psi)]
     for k in range(config.n_steps):
         nsub = 2**level if k < prefix else 1
@@ -97,21 +95,19 @@ def test_rhs_monomer_hand_check():
     # dQ = -Gamma - z Q  (operators are 1x1, L = -1).
     eps, gamma_amp, z = 0.3, 0.64, 1j * 1.0 + 0.25
     h = np.array([[eps]], dtype=complex)
-    terms = BathTerms.from_bath(MONOMER_BATH)
     l_ops = coupling_operators(1)
     psi = np.array([0.8 - 0.1j])
     q = np.array([[[0.05 + 0.2j]]])
-    dpsi, daux = zofe_rhs(psi, q, h, terms, l_ops)
+    dpsi, daux = zofe_rhs(psi, q, h, MONOMER_BATH, l_ops)
     assert_allclose(dpsi, (-1j * eps + q[0, 0, 0]) * psi, atol=1e-15)
     assert_allclose(daux, [[[-gamma_amp - z * q[0, 0, 0]]]], atol=1e-15)
 
 
 def test_rhs_dimension_mismatch():
-    terms = BathTerms.from_bath(MONOMER_BATH)
     l_ops = coupling_operators(1)
     with pytest.raises(ValueError):
         zofe_rhs(np.zeros(2, complex), np.zeros((1, 2, 2), complex), np.zeros((1, 1), complex),
-                 terms, l_ops)
+                 MONOMER_BATH, l_ops)
 
 
 def test_rhs_sign_convention_flip_is_noop():
@@ -121,12 +117,11 @@ def test_rhs_sign_convention_flip_is_noop():
     agg = AggregateSpec.equal_parallel(2, epsilon=[0.1, -0.3], coupling_v=0.5)
     bath = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
     h = build_system_hamiltonian(agg)
-    terms = BathTerms.from_bath(bath)
     l_ops = coupling_operators(2)
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     aux = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-    dpsi, daux = zofe_rhs(psi, aux, h, terms, l_ops)
-    dpsi_f, daux_f = zofe_rhs(psi, -aux, h, terms, -l_ops)
+    dpsi, daux = zofe_rhs(psi, aux, h, bath, l_ops)
+    dpsi_f, daux_f = zofe_rhs(psi, -aux, h, bath, -l_ops)
     assert_allclose(dpsi_f, dpsi, atol=1e-14)
     assert_allclose(daux_f, -daux, atol=1e-14)
 
@@ -286,13 +281,12 @@ def test_lane_rhs_matches_general_rhs(n, bath):
     # palindromic bath they carry only the mirror-distinct terms
     rng = np.random.default_rng(n)
     baths = bath if isinstance(bath, list) else [bath] * 3
-    terms = [BathTerms.from_bath(b) for b in baths]
-    count = terms[0].count
+    count = baths[0].count
     energies = rng.normal(size=(3, n))
     energies[1:] += energies[1:, ::-1]
     aggs = [AggregateSpec.equal_parallel(n, epsilon=e, coupling_v=v)
             for e, v in zip(energies, (-0.7, 0.2, 1.1))]
-    sources, flips = (np.stack(a) for a in zip(*map(_mirror_layout, aggs, baths, terms)))
+    sources, flips = (np.stack(a) for a in zip(*map(_mirror_layout, aggs, baths)))
     mirrored = [b > 0 and n > 1 and count > 0 and baths[b].terms == baths[b].terms[::-1]
                 for b in range(3)]
     assert list(flips.any(axis=1)) == mirrored
@@ -301,7 +295,7 @@ def test_lane_rhs_matches_general_rhs(n, bath):
     # in a mirrored lane the terms it does not carry are the images R Q R,
     # and those of a middle monomer are their own images
     for b in np.flatnonzero(mirrored):
-        middle = 2 * terms[b].monomer == n - 1
+        middle = 2 * baths[b].monomer == n - 1
         aux[b, middle] += aux[b, middle][:, ::-1, ::-1]
     images = aux[np.arange(3)[:, None], sources][..., ::-1, ::-1]
     aux = np.where(flips[..., None, None], images, aux)
@@ -312,9 +306,9 @@ def test_lane_rhs_matches_general_rhs(n, bath):
         state[b, :c, :, :n] = aux[b, :c]
     state[:, 0, :, n] = psi
     minus_ih = np.stack([-1j * build_system_hamiltonian(agg) for agg in aggs])
-    deriv = _LaneRhs(minus_ih, terms, sources, flips)(state, np.empty_like(state))
+    deriv = _LaneRhs(minus_ih, baths, sources, flips)(state, np.empty_like(state))
     for b, (agg, c) in enumerate(zip(aggs, carried)):
-        ref_p, ref_a = zofe_rhs(psi[b], aux[b], build_system_hamiltonian(agg), terms[b],
+        ref_p, ref_a = zofe_rhs(psi[b], aux[b], build_system_hamiltonian(agg), baths[b],
                                 coupling_operators(n))
         assert_allclose(deriv[b, 0, :, n], ref_p, rtol=0, atol=1e-14)
         assert_allclose(deriv[b, :c, :, :n], ref_a[:c], rtol=0, atol=1e-14)
@@ -331,17 +325,16 @@ def test_mirror_layout_needs_palindromic_energies_and_bath():
     # two terms per monomer on a 5-site chain: monomers 3 and 4 are the
     # images of 1 and 0, whatever the dipoles; monomer 2 is its own image
     bath = LorentzianBath.uniform(5, [(0.4, 1.0, 0.25), (0.2, 0.5, 0.1)])
-    terms = BathTerms.from_bath(bath)
     dipoles = [[1, 0, 0], [0.5, 0.5, 0], [0.2, 0, 0], [1, 1, 0], [0, 0, 1]]
     chain = AggregateSpec(5, [0.1, -0.2, 0.3, -0.2, 0.1], 0.44, dipoles, [1, 0, 1])
-    source, flip = _mirror_layout(chain, bath, terms)
+    source, flip = _mirror_layout(chain, bath)
     assert list(flip) == [False] * 6 + [True] * 4
     assert list(source) == [0, 1, 2, 3, 4, 5, 2, 3, 0, 1]
     # a disordered chain, or a bath that differs at one end, runs every term
     disordered = AggregateSpec(5, [0.1, -0.2, 0.3, -0.2, 0.0], 0.44, dipoles, [1, 0, 1])
     uneven = LorentzianBath(bath.terms[:4] + (((0.4, 1.0, 0.25), (0.2, 0.5, 0.11)),))
     for agg, b in ((disordered, bath), (chain, uneven)):
-        source, flip = _mirror_layout(agg, b, BathTerms.from_bath(b))
+        source, flip = _mirror_layout(agg, b)
         assert not flip.any() and list(source) == list(range(10))
 
 
@@ -511,8 +504,7 @@ def test_mixed_mirrored_and_full_lanes_are_bit_identical_alone_and_in_batch():
     # uneven bath carry all 3; every lane gives the same bits alone and in
     # the batch, and follows RK4 on the general right-hand side
     aggs, baths = zip(*MIXED_TRIMER_LANES)
-    flips = [_mirror_layout(agg, bath, BathTerms.from_bath(bath))[1]
-             for agg, bath in MIXED_TRIMER_LANES]
+    flips = [_mirror_layout(agg, bath)[1] for agg, bath in MIXED_TRIMER_LANES]
     assert [int(flip.sum()) for flip in flips] == [1, 1, 0, 0]
     cfg = PropagationConfig(dt=0.01, t_max=6.0)
     samples, mu_sq, levels, errors, psi, aux = _run_lanes(aggs, baths, cfg)
@@ -536,8 +528,8 @@ def test_mirrored_lane_matches_the_full_term_set(n, monkeypatch):
     per_monomer = aux.reshape(len(aggs), n, 2, n, n)
     for m in range(n // 2):
         assert np.array_equal(per_monomer[:, n - 1 - m], per_monomer[:, m, :, ::-1, ::-1])
-    monkeypatch.setattr(zofe, "_mirror_layout", lambda agg, bath, terms: (
-        np.arange(terms.count), np.zeros(terms.count, dtype=bool)))
+    monkeypatch.setattr(zofe, "_mirror_layout", lambda agg, bath: (
+        np.arange(bath.count), np.zeros(bath.count, dtype=bool)))
     full_samples, _, _, _, _, full_aux = _run_lanes(aggs, bath, cfg)
     assert np.max(np.abs(samples - full_samples)) <= 1e-13
     assert np.max(np.abs(aux - full_aux)) <= 1e-13
