@@ -60,15 +60,15 @@ builds an m x m complex-symmetric tridiagonal T with
 M(t) ~= mu_tot^2 e1^T exp(T t) e1 (Saad, SIAM J. Numer. Anal. 29, 209
 (1992)).  ``krylov_correlation`` deepens the recursion in steps of 8 until
 e1^T (z - T)^-1 e1, the trace's Laplace transform (Haydock, Heine and Kelly,
-J. Phys. C 5, 2845 (1972)), settles, then eigen-decomposes T once for the
-trace on the doubling grid of ``propagate_pm``.  It can stop at a loose
-tolerance and resume to a tighter one, so a rung of the cap ladder is
-converged only as far as its overlap test needs, and the accepted rung
-resumes to full precision.  G = -1j*H - D has its numerical range in
-Re <= 0, so a Ritz value with Re > 0 is a Lanczos ghost, not an eigenvalue
-of G, and is dropped.  A Ritz value that carries weight past the Nyquist
-frequency pi / (2 dt) of the grid is an error: the spectrum would show that
-weight at a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
+J. Phys. C 5, 2845 (1972)), settles as a continued fraction evaluated
+forward, then eigen-decomposes T once for the trace on the doubling grid of
+``propagate_pm``.  The cap ladder compares rungs by that transform at a
+loose tolerance and eigen-decomposes only the accepted rung, resumed to full
+precision.  G = -1j*H - D has its numerical range in Re <= 0, so a Ritz
+value with Re > 0 is a Lanczos ghost, not an eigenvalue of G, and is
+dropped.  A Ritz value that carries weight past the Nyquist frequency
+pi / (2 dt) of the grid is an error: the spectrum would show that weight at
+a wrong frequency.  RK4 (``pm_correlation``) stays the reference.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ from .model import (
     mirror_slots,
 )
 from .propagation import PropagationConfig, PropagationError
-from .spectra import (CorrelationTrace, TraceTailError, absorption_from_trace,
-                      default_nu_grid, overlap)
+from .spectra import CorrelationTrace, Spectrum, default_nu_grid, overlap
 
 __all__ = [
     "BasisSizeError",
@@ -108,8 +107,7 @@ __all__ = [
 
 DEFAULT_MAX_STATES = 2_000_000
 
-# Lanczos depths tried in turn; the continued-fraction test of _Lanczos costs
-# no eigen-solve, so the steps can be short
+# Lanczos depths tried in turn; a test advances the continued fraction, with no eig
 _KRYLOV_DEPTHS = tuple(range(32, 1025, 8))
 _KRYLOV_TOL = 1e-10
 # a trace's largest change was 2.5-4.5x its weighted RMS change on dimers and
@@ -566,12 +564,12 @@ class _Lanczos:
     ``propagate_pm``, from the Lanczos tridiagonal of a complex-symmetric
     ``matrix`` and a real ``psi0``.
 
-    ``trace(tol)`` deepens along _KRYLOV_DEPTHS until _CF_SAFETY times the
+    ``deepen(tol)`` runs along _KRYLOV_DEPTHS until _CF_SAFETY times the
     e^(-2ct)-weighted RMS change of the trace from the previous depth,
     sqrt((c/pi) sum |R_m - R_prev|^2 c) by Plancherel, is within tol * mu_tot^2:
     R_m = M(0) e1^T (z - T_m)^-1 e1 on z = c - 1j*nu, c = 1/t_final, nu over
-    the range of ``nu`` (it must cover the spectrum) at spacing c.  Called
-    again with a smaller tol it resumes, and returns the bytes of one call.
+    the range of ``nu`` (it must cover the spectrum) at spacing c.  ``trace``
+    deepens, then eigen-decomposes T once.  Either resumes on a smaller tol.
     """
 
     def __init__(self, matrix, psi0, mu_tot_sq, config: PropagationConfig, nu):
@@ -586,19 +584,18 @@ class _Lanczos:
         self.v_prev, self.v = None, psi0 / np.sqrt(norm_sq)
         self.exact, self.depths = False, iter(_KRYLOV_DEPTHS)
         c = 1.0 / (self.spacing * (self.n_samples - 1))
-        self.z = c - 1j * (nu[0] + c * np.arange(int((nu[-1] - nu[0]) / c) + 1))
+        self.fraction = _ContinuedFraction(
+            c - 1j * (nu[0] + c * np.arange(int((nu[-1] - nu[0]) / c) + 1)))
         self.weight = _CF_SAFETY * c / np.sqrt(np.pi)  # the change per |R_m - R_prev|
         self.resolvent, self.change = None, np.inf  # R at the depth reached, and the change
 
     @_one_blas_thread()
-    def trace(self, tol):
+    def deepen(self, tol):
         alpha, beta = self.alpha, self.beta
         while not (self.exact or self.change <= tol * self.mu_tot_sq):
             depth = next(self.depths, None)
             if depth is None:
-                raise PropagationError(
-                    f"Lanczos trace did not converge by depth {_KRYLOV_DEPTHS[-1]}"
-                )
+                raise PropagationError(f"Lanczos trace did not converge by depth {len(alpha)}")
             scaled = np.empty_like(self.v)  # the buffer of every scalar multiple of a vector
             while len(alpha) < depth:
                 w = self.matrix @ self.v
@@ -619,16 +616,15 @@ class _Lanczos:
                 beta.append(np.sqrt(ww))
                 w /= beta[-1]
                 self.v_prev, self.v = self.v, w
-            f = self.z - alpha[-1]  # f = z - alpha_k - beta_k^2 / f from the bottom of T up
-            for a, b in zip(alpha[-2::-1], beta[len(alpha) - 2::-1]):
-                np.divide(-b * b, f, out=f)
-                f += self.z
-                f -= a
-            resolvent = self.scale / f
+            resolvent = self.scale * self.fraction.extend(alpha, beta)
             if self.resolvent is not None:
                 self.change = self.weight * np.linalg.norm(resolvent - self.resolvent)
             self.resolvent = resolvent
-        samples = _ritz_trace(alpha, beta, self.spacing, self.n_samples, self.scale)
+
+    @_one_blas_thread()
+    def trace(self, tol):
+        self.deepen(tol)
+        samples = _ritz_trace(self.alpha, self.beta, self.spacing, self.n_samples, self.scale)
         # exp(G t) never increases the norm, so a trace above M(0), or an M(0)
         # that lost weight to dropped Ritz values, by more than rounding or tol
         # means the generator is not dissipative.  Also catches non-finite samples.
@@ -640,6 +636,29 @@ class _Lanczos:
             )
         samples[0] = scale  # exp(T 0) = 1 exactly
         return CorrelationTrace(dt=self.spacing, samples=samples, mu_tot_sq=self.mu_tot_sq)
+
+
+class _ContinuedFraction:
+    """e1^T (z - T)^-1 e1 on an array of z, T the tridiagonal of alpha and
+    beta: the Wallis convergents A_k / B_k of 1 / (b_0 + a_1 / (b_1 + ...)),
+    b_j = z - alpha_j, a_j = -beta_(j-1)^2, one forward step per coefficient."""
+
+    def __init__(self, z):
+        self.z, self.depth = np.asarray(z, dtype=complex), 0  # the coefficients taken
+        # (A, B) of the last two convergents, from (A_-1, B_-1) = (1, 0) and (A_0, B_0) = (0, 1)
+        self.prev, self.last = np.eye(2, dtype=complex)[:, :, None] * np.ones(self.z.size)
+        self.scaled = np.empty_like(self.last)  # the buffer of b_j (A, B)_k
+
+    def extend(self, alpha, beta):
+        """Take alpha[depth:] and the beta before each; returns A / B."""
+        for j in range(self.depth, len(alpha)):
+            self.prev *= -beta[j - 1] ** 2 if j else 1.0
+            self.prev += np.multiply(self.z - alpha[j], self.last, out=self.scaled)
+            self.prev, self.last = self.last, self.prev
+            if j % 16 == 15:  # divided by B every 16 steps, so that neither overflows
+                self.prev, self.last = (self.prev, self.last) / self.last[1]
+        self.depth = len(alpha)
+        return self.last[0] / self.last[1]
 
 
 def _ritz_trace(alpha, beta, spacing, n_samples, scale):
@@ -692,15 +711,13 @@ def converge_caps(
     100 * (1 - tolerance) percent, 0 < tolerance < 1; a bath without
     coupling terms converges trivially at cap 0.
 
-    A rung whose trace has not decayed at t_max (TraceTailError, as a
-    low cap can at small eta) is skipped, so the accepted rung and the one
-    it is compared with both pass the tail check.
-
-    A rung's Lanczos trace is converged only to max(_KRYLOV_TOL, 1e-3 *
-    tolerance) * mu_tot^2, for the overlap test; the accepted rung then
-    resumes to _KRYLOV_TOL, so the returned (caps, trace) holds the trace of
-    ``krylov_correlation``.  Raises CapConvergenceError, reporting the last
-    two overlap values, if the budget ``DEFAULT_MAX_STATES`` is hit first.
+    A rung's recursion deepens to max(_KRYLOV_TOL, 1e-3 * tolerance) *
+    mu_tot^2 only, and its spectrum is its resolvent Re R(eta - 1j*nu): no
+    eigen-solve, no transform and no tail.  The accepted rung resumes to
+    _KRYLOV_TOL and runs the ladder's one eigen-solve, so the returned (caps,
+    trace) holds the trace of ``krylov_correlation``.  Raises
+    CapConvergenceError, reporting the last two overlap values, if the
+    budget ``DEFAULT_MAX_STATES`` is hit first.
     """
     if not 0 < tolerance < 1:
         raise ValueError("tolerance must lie in (0, 1)")
@@ -710,8 +727,7 @@ def converge_caps(
         # no electron-vibration coupling: every cap spans the same basis, so
         # the ladder is trivially converged at zero occupation
         return 0, krylov_correlation(agg, bath, config, caps=0)
-    overlaps = []
-    prev = None  # (cap, recursion, spectrum)
+    overlaps, prev = [], None  # prev: (cap, recursion, spectrum)
     for cap in (2**k for k in itertools.count()):
         try:
             rung = _recursion(agg, bath, config, cap)
@@ -722,13 +738,11 @@ def converge_caps(
                 + (", ".join(f"{o:.4f}%" for o in overlaps[-2:]) or "none"),
                 overlaps,
             ) from exc
-        try:
-            spectrum = absorption_from_trace(rung.trace(check), eta, nu)
-        except TraceTailError:
-            continue  # a trace that has not decayed at t_max is no candidate
+        rung.deepen(check)
+        resolvent = _ContinuedFraction(eta - 1j * np.asarray(nu)).extend(rung.alpha, rung.beta)
+        spectrum = Spectrum(nu=nu, values=rung.scale * resolvent.real)
         if prev is not None:
-            value = overlap(prev[2], spectrum)
-            overlaps.append(value)
-            if value >= target:
+            overlaps.append(overlap(prev[2], spectrum))
+            if overlaps[-1] >= target:
                 return prev[0], prev[1].trace(_KRYLOV_TOL)
         prev = (cap, rung, spectrum)

@@ -588,9 +588,10 @@ def test_converge_caps_returns_the_full_precision_trace(agg, bath, eta):
 @pytest.mark.parametrize("v", [-0.425, -1.5])
 def test_converge_caps_skips_a_rung_whose_trace_has_not_decayed(v):
     # at eta = 0.01 the caps-1 trace of the fig1a dimer still rings at t_max
-    # (3.2e-4 and 7.5e-4 mu^2 against the 1e-4 tail bound), which used to
-    # stop the whole ladder; the rung is skipped, and the accepted rung
-    # passes its own tail check
+    # (3.2e-4 and 7.5e-4 mu^2 against the 1e-4 tail bound), which once
+    # stopped the whole ladder; its resolvent spectrum has no tail, so the
+    # rung is rejected by its overlap with caps 2 (63.3% and 67.0%), and the
+    # accepted rung passes its own tail check
     agg = AggregateSpec.equal_parallel(2, coupling_v=v)
     cfg = PropagationConfig(dt=0.01, t_max=150.0)
     nu = default_nu_grid(agg, DIMER_BATH)
@@ -599,6 +600,56 @@ def test_converge_caps_skips_a_rung_whose_trace_has_not_decayed(v):
     caps, trace = converge_caps(agg, DIMER_BATH, cfg, 1e-3, 0.01, nu)
     assert caps >= 2
     absorption_from_trace(trace, 0.01, nu)
+
+
+def test_continued_fraction_matches_a_dense_solve(monkeypatch):
+    # the forward evaluator, extended in steps as the depth test extends it,
+    # against e1^T (z - T)^-1 e1 from a dense solve; by depth 384 it has
+    # rescaled its convergents 24 times
+    bath = LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    nu = default_nu_grid(FIG3A_TRIMER, bath)
+    monkeypatch.setattr(pseudomode, "_KRYLOV_DEPTHS", (384,))
+    rung = pseudomode._recursion(FIG3A_TRIMER, bath, cfg, 16)
+    with pytest.raises(PropagationError, match="did not converge by depth 384"):
+        rung.deepen(0.0)
+    picked = nu[:: nu.size // 40]
+    for z in (1.0 / cfg.t_max - 1j * picked, 0.01 - 1j * picked):  # the c- and (eta, nu) grids
+        fraction = pseudomode._ContinuedFraction(z)
+        for depth in (7, 88, 384):
+            tri = (np.diag(rung.alpha[:depth]) + np.diag(rung.beta[:depth - 1], 1)
+                   + np.diag(rung.beta[:depth - 1], -1))
+            dense = [np.linalg.solve(x * np.eye(depth) - tri, np.eye(depth)[0])[0] for x in z]
+            found = fraction.extend(rung.alpha[:depth], rung.beta[:depth])
+            assert np.linalg.norm(found - dense) <= 1e-12 * np.linalg.norm(dense)
+        # the rescaled convergents stay far from overflow
+        assert np.abs(fraction.last).max() < 1e20
+
+
+@pytest.mark.parametrize(
+    "agg, bath, first",
+    [
+        (FIG3A_TRIMER, LorentzianBath.from_huang_rhys(3, 0.64, 1.0, 0.25), 1),
+        # the caps-1 trace rings at t_max, so the trace side starts at caps 2
+        (AggregateSpec.equal_parallel(2, coupling_v=-0.41), DIMER_BATH, 2),
+        (AggregateSpec.equal_parallel(2, coupling_v=0.44), DIMER_BATH, 1),
+    ],
+    ids=["trimer+1.5", "dimer-0.41", "dimer+0.44"],
+)
+def test_ladder_overlaps_match_the_trace_based_ones(agg, bath, first, monkeypatch):
+    # the ladder compares its rungs 1 to 16 by Re R(eta - 1j nu), the
+    # transform of the trace taken to t = infinity; its overlaps stay within
+    # 1e-4 points of those of the transformed traces (4.7e-5 at most here)
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    nu = default_nu_grid(agg, bath)
+    found = []
+    monkeypatch.setattr(pseudomode, "overlap", lambda a, b: found.append(overlap(a, b)) or found[-1])
+    assert converge_caps(agg, bath, cfg, 1e-3, 0.01, nu)[0] == 8
+    spectra = [absorption_from_trace(pseudomode._recursion(agg, bath, cfg, caps).trace(CHECK_TOL),
+                                     0.01, nu) for caps in (1, 2, 4, 8, 16) if caps >= first]
+    expected = [overlap(a, b) for a, b in itertools.pairwise(spectra)]
+    assert len(found) == 4
+    assert_allclose(found[4 - len(expected):], expected, rtol=0, atol=1e-4)
 
 
 def test_converge_caps_check_rungs_are_cheap_and_keep_the_overlaps(monkeypatch):
@@ -808,12 +859,13 @@ def test_lanczos_eigen_solves_once_per_trace(monkeypatch):
         solves.clear()
         krylov_correlation(agg, bath, cfg, caps)
         assert len(solves) == 1
-    # the fig3a ladder: one solve per rung 1, 2, 4, 8, 16 and one for the
-    # resumed caps-8 rung (16 when every depth was solved)
+    # the fig3a ladder compares rungs 1, 2, 4, 8, 16 by their resolvents, so
+    # only the resumed caps-8 rung is solved (one solve per rung and one for
+    # the resumed rung when rungs were compared by their traces)
     solves.clear()
     nu = default_nu_grid(FIG3A_TRIMER, FIG1A_TRIMER_BATH)
     assert converge_caps(FIG3A_TRIMER, FIG1A_TRIMER_BATH, cfg, 1e-3, 0.01, nu)[0] == 8
-    assert len(solves) == 6
+    assert len(solves) == 1
 
 
 SIXTERM_DIMER_CFG = """
