@@ -22,20 +22,22 @@ numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 Every subcommand runs one pipeline over its points, one coupling each: the
 scan grid, the ``v_values`` or the configured aggregate (``converge`` has
 only that one).  ``--threads`` splits the points into contiguous chunks, one
-per worker process.  A chunk propagates its ZOFE side as one lane batch
-(``propagate_zofe_lanes``), then runs the pseudomode side point by point.
-A lane stopped by the norm guard restarts inside the batch with a finer step
-over the part of its trace up to the trip (see ``aggspec.zofe``).  A point's
-result does not depend on the chunk it ran in, and a failed point stops no
-other: a scan records it, and the other subcommands report the first failure
-in point order once every chunk has ended.  So neither the files nor the
-error depend on the split.  With ``pm_caps = auto`` every point runs the cap
-ladder at its own coupling.
+per worker process.  Workers compute and the parent writes: a chunk
+propagates its ZOFE side as one lane batch (``propagate_zofe_lanes``), then
+runs the pseudomode side point by point, and returns one record per point
+without writing a file.  A lane stopped by the norm guard restarts inside the
+batch with a finer step over the part of its trace up to the trip (see
+``aggspec.zofe``).  A point's record does not depend on the chunk it ran in,
+and a failed point stops no other.  Once every chunk has ended, the parent
+writes every file in point order from the records; a scan lists its failed
+points, and the other subcommands then report the first failure.  So neither
+the files nor the error depend on the split.  With ``pm_caps = auto`` every
+point runs the cap ladder at its own coupling.
 The pseudomode side takes every trace from the Lanczos recursion of
 ``krylov_correlation``: no time step, dt sets only its sample grid.
 ``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
 
-Exit codes: 0 ok, 1 config error, 2 solver error, 3 partial scan.
+Exit codes: 0 ok, 1 config or output error, 2 solver error, 3 partial scan.
 """
 
 from __future__ import annotations
@@ -346,8 +348,10 @@ def _points(cfg: ScenarioConfig, command):
     return points
 
 
-def _write_point(out, method, suffix, spectrum, trace=None):
-    """spectrum_<method><suffix>.tsv, after trace_<method><suffix>.tsv if given."""
+def _write_point(out, method, suffix, side):
+    """spectrum_<method><suffix>.tsv of a side (trace or None, spectrum),
+    after trace_<method><suffix>.tsv if it kept its trace."""
+    trace, spectrum = side
     written = [] if trace is None else [_write_tsv(
         out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
         (trace.times, trace.samples.real, trace.samples.imag))]
@@ -355,36 +359,21 @@ def _write_point(out, method, suffix, spectrum, trace=None):
                                  (spectrum.nu, spectrum.values))]
 
 
-def _spectrum(cfg: ScenarioConfig, trace):
-    """The spectrum of a trace, or the error that stopped it: a ZOFE lane's
-    own PropagationError, or the TraceTailError of the transform."""
+def _side(cfg: ScenarioConfig, trace, keep_trace):
+    """(the trace if ``keep_trace`` else None, its spectrum), or the error
+    that stopped the side: the solver's own PropagationError, or the
+    TraceTailError of the transform."""
     if isinstance(trace, PropagationError):
         return trace
     try:
-        return absorption_from_trace(trace, cfg.eta, cfg.nu)
+        return (trace if keep_trace else None), absorption_from_trace(trace, cfg.eta, cfg.nu)
     except TraceTailError as exc:
         return exc.with_traceback(None)  # the traceback would keep the trace alive
 
 
-def _zofe_side(cfg: ScenarioConfig, points, out=None):
-    """One ZOFE batch over the points: (per point its spectrum or the error
-    that stopped its lane, the files written).  Given ``out``, a lane writes
-    its trace and spectrum there at once and keeps None for the spectrum.
-    The batch's sample block is freed when this returns."""
-    kept, written = [], []
-    lanes = propagate_zofe_lanes([agg for _, _, agg in points], cfg.bath, cfg.propagation)
-    for (_, suffix, _), trace in zip(points, lanes):
-        spectrum = _spectrum(cfg, trace)
-        if out is not None and not isinstance(spectrum, Exception):
-            written += _write_point(out, "zofe", suffix, spectrum, trace)
-            spectrum = None  # a written spectrum is not kept
-        kept.append(spectrum)
-    return kept, written
-
-
-def _pm_side(cfg: ScenarioConfig, agg):
-    """(caps, trace, spectrum or the error that stopped it) of the pseudomode
-    side of one coupling; (caps, None, error) if no trace is computed.
+def _pm_trace(cfg: ScenarioConfig, agg):
+    """(caps, trace or the error that stopped it) of the pseudomode side of
+    one coupling.
 
     Every trace is the one ``krylov_correlation`` gives.  Explicit caps
     compute it once.  Auto caps run the cap ladder and return the trace of
@@ -393,72 +382,75 @@ def _pm_side(cfg: ScenarioConfig, agg):
     from . import pseudomode
 
     try:
-        if cfg.pm_caps is not None:
-            caps, trace = cfg.pm_caps, pseudomode.krylov_correlation(
-                agg, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
-        else:
-            caps, trace = pseudomode.converge_caps(
+        if cfg.pm_caps is None:
+            return pseudomode.converge_caps(
                 agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu)
+        return cfg.pm_caps, pseudomode.krylov_correlation(
+            agg, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
     except PropagationError as exc:
         exc.__cause__ = exc.__context__ = None  # a chained error's frames hold rungs
-        return cfg.pm_caps, None, exc.with_traceback(None)
-    return caps, trace, _spectrum(cfg, trace)
+        return cfg.pm_caps, exc.with_traceback(None)
 
 
 def _run_chunk(payload):
-    """A contiguous chunk of points: one ZOFE batch, then the pseudomode side
-    point by point.  Outside a scan each side writes a point's trace and
-    spectrum; a scan writes a point's two spectra, if kept, only when both
-    sides succeed.  Returns (files written, [(V, caps, overlap or nan, error
-    or None)] per point): a failed point is recorded, not raised."""
-    cfg, points, out, scan = payload
-    spectra_z, written, rows = [None] * len(points), [], []
-    if cfg.method != "pm":
-        spectra_z, written = _zofe_side(cfg, points, None if scan else out)
-    for (v, suffix, agg), spec_z in zip(points, spectra_z):
-        # the ZOFE result stands for the point where it has no pseudomode
-        # side (method zofe: written, so None) or where its lane failed
-        caps, trace, spec_p = (cfg.pm_caps, None, spec_z) \
-            if cfg.method == "zofe" or isinstance(spec_z, Exception) else _pm_side(cfg, agg)
-        if spec_p is None or isinstance(spec_p, Exception):
-            rows.append((v, caps, math.nan, spec_p))
-            continue
-        if not scan:
-            written += _write_point(out, "pm", suffix, spec_p, trace)
-        elif cfg.keep_spectra:
-            written += _write_point(out, "zofe", suffix, spec_z) + \
-                _write_point(out, "pm", suffix, spec_p)
-        rows.append((v, caps, overlap(spec_z, spec_p) if scan else math.nan, None))
-    return written, rows
+    """A contiguous chunk of points, computed and not written: one ZOFE
+    batch, then the pseudomode side point by point, skipped where the lane
+    failed.  Returns one record per point, (caps, ZOFE side, pseudomode
+    side); a side is None where the method does not run it, else what
+    ``_side`` gives.  A failed point is recorded, not raised."""
+    cfg, points, keep_traces = payload
+    sides_z = [None] * len(points)
+    if cfg.method != "pm":  # the batch's sample block lives on only in kept traces
+        sides_z = [_side(cfg, trace, keep_traces) for trace in propagate_zofe_lanes(
+            [agg for _, _, agg in points], cfg.bath, cfg.propagation)]
+    records = []
+    for (_, _, agg), side_z in zip(points, sides_z):
+        caps, side_p = cfg.pm_caps, None
+        if cfg.method != "zofe" and not isinstance(side_z, Exception):
+            caps, trace = _pm_trace(cfg, agg)
+            side_p = _side(cfg, trace, keep_traces)
+        records.append((caps, side_z, side_p))
+    return records
 
 
 def _run(cfg: ScenarioConfig, points, out_dir, threads=1, scan=False):
-    """Run the points in ``threads`` contiguous chunks (the first ones one
+    """Compute the points in ``threads`` contiguous chunks (the first ones one
     point longer where they do not divide evenly), in one worker process each
-    if there are two or more; returns the chunks' files and records joined in
-    order.  A scan lists its failures on stderr; other runs raise the first."""
+    if there are two or more, then write every file here, in point order.
+    Returns (files written, [(V, caps, scan overlap or nan, error or None)]
+    per point); a scan lists its failures on stderr, other runs raise the first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_chunks = max(1, min(threads, len(points)))
     size, longer = divmod(len(points), n_chunks)
     bounds = [k * size + min(k, longer) for k in range(n_chunks + 1)]
-    payloads = [(cfg, points[start:end], out, scan) for start, end in zip(bounds, bounds[1:])]
+    payloads = [(cfg, points[start:end], not scan) for start, end in zip(bounds, bounds[1:])]
     if len(payloads) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = list(pool.map(_run_chunk, payloads))
+            records = [r for chunk in pool.map(_run_chunk, payloads) for r in chunk]
     else:
-        results = [_run_chunk(payloads[0])]
-    rows = [r for _, chunk_rows in results for r in chunk_rows]
-    for v, _, _, error in rows:
-        if error is not None and scan:
+        records = _run_chunk(payloads[0])
+    written, rows = [], []
+    for (v, suffix, _), (caps, side_z, side_p) in zip(points, records):
+        error = next((side for side in (side_z, side_p) if isinstance(side, Exception)), None)
+        # outside a scan each side that succeeded; in a scan, kept spectra in pairs
+        if not scan or (cfg.keep_spectra and error is None):
+            for method, side in (("zofe", side_z), ("pm", side_p)):
+                if isinstance(side, tuple):
+                    written += _write_point(out, method, suffix, side)
+        if scan and error is not None:
             print(f"scan point V = {v:g} failed: {error}", file=sys.stderr)
-        elif error is not None:
-            raise error
-    return [p for files, _ in results for p in files], rows
+        value = overlap(side_z[1], side_p[1]) if scan and error is None else math.nan
+        rows.append((v, caps, value, error))
+    errors = [error for *_, error in rows if error is not None]
+    if errors and not scan:
+        raise errors[0]
+    return written, rows
 
 
 def run_spectrum(cfg: ScenarioConfig, out_dir, threads=1) -> list:
-    """Write spectrum_<method>[.V..].tsv and trace_<method>[.V..].tsv files."""
+    """Write spectrum_<method>[_V..].tsv and trace_<method>[_V..].tsv files;
+    returns their paths in point order."""
     return _run(cfg, _points(cfg, "spectrum"), out_dir, threads)[0]
 
 
@@ -522,6 +514,9 @@ def main(argv=None) -> int:
     except (PropagationError, ValueError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

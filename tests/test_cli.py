@@ -13,8 +13,8 @@ from aggspec import cli, pseudomode
 from aggspec.cli import (
     _TSV_CHUNK,
     ConfigError,
+    _run_chunk,
     _write_tsv,
-    _zofe_side,
     load_scenario,
     main,
     run_converge,
@@ -279,7 +279,9 @@ def test_scan_step_ladder_matches_per_lane_ladder():
     cfg = dataclasses.replace(cfg, propagation=PropagationConfig(dt=0.01, t_max=20.0), eta=0.5)
     aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in (-0.425, 0.425, 0.429)]
     samples, mu_sq, levels, _, _, _ = _run_lanes(aggs, bath, cfg.propagation)
-    spectra, _ = _zofe_side(cfg, [(None, "", agg) for agg in aggs])
+    records = _run_chunk((dataclasses.replace(cfg, method="zofe"),
+                          [(None, "", agg) for agg in aggs], False))
+    spectra = [spectrum for _, (_, spectrum), _ in records]
     assert list(levels) == [1, 1, 1]
     whole = PropagationConfig(dt=0.005, t_max=20.0)
     for b, agg in enumerate(aggs):
@@ -455,18 +457,18 @@ def test_a_failing_spectrum_run_does_not_depend_on_threads(tmp_path, monkeypatch
     # the last: every split leaves the files of the sides that succeeded and
     # reports the first failure in point order (worker processes fork, so
     # they run the patched sides)
-    pm_side, zofe_lanes = cli._pm_side, cli.propagate_zofe_lanes
+    pm_trace, zofe_lanes = cli._pm_trace, cli.propagate_zofe_lanes
 
-    def failing_pm_side(cfg, agg):
+    def failing_pm_trace(cfg, agg):
         if agg.coupling_v == -0.2:
-            return cfg.pm_caps, None, PropagationError("pseudomode failed at V = -0.2")
-        return pm_side(cfg, agg)
+            return cfg.pm_caps, PropagationError("pseudomode failed at V = -0.2")
+        return pm_trace(cfg, agg)
 
     def failing_zofe_lanes(aggs, bath, config):
         return [PropagationError("ZOFE failed at V = 0.2") if agg.coupling_v == 0.2 else trace
                 for agg, trace in zip(aggs, zofe_lanes(aggs, bath, config))]
 
-    monkeypatch.setattr(cli, "_pm_side", failing_pm_side)
+    monkeypatch.setattr(cli, "_pm_trace", failing_pm_trace)
     monkeypatch.setattr(cli, "propagate_zofe_lanes", failing_zofe_lanes)
     path = write_cfg(tmp_path, STICK_CFG.replace("[run]", "[run]\nv_values = -0.2 0 0.2"))
     outputs = []
@@ -487,9 +489,59 @@ def test_a_recorded_ladder_error_holds_no_frames(tmp_path, monkeypatch):
     # holds the ladder's rungs; a failed point records neither
     monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 6)  # caps 4 at most
     cfg = load_scenario(write_cfg(tmp_path, MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")))
-    caps, trace, error = cli._pm_side(cfg, cfg.aggregate)
-    assert (caps, trace, type(error)) == (None, None, pseudomode.CapConvergenceError)
+    caps, error = cli._pm_trace(cfg, cfg.aggregate)
+    assert (caps, type(error)) == (None, pseudomode.CapConvergenceError)
     assert error.__traceback__ is None and error.__cause__ is None and error.__context__ is None
+
+
+def test_workers_compute_and_only_the_parent_writes(tmp_path, monkeypatch):
+    # worker processes fork, so they run the patched writer: a file written
+    # in a worker would fail the run; the files at two threads are those at one
+    parent, write_tsv = os.getpid(), cli._write_tsv
+
+    def parent_only(*args):
+        assert os.getpid() == parent, "a worker process wrote a file"
+        return write_tsv(*args)
+
+    monkeypatch.setattr(cli, "_write_tsv", parent_only)
+    couplings = (-0.425, -0.2125, 0.0, 0.2125, 0.425)
+    # both end lanes trip the norm guard and restart with a refined prefix
+    scan = VSCAN_CFG.replace("t_max = 150\neta = 0.01", "t_max = 30\neta = 0.4") \
+                    .replace("v_min = 0\nv_max = 0\nv_steps = 1",
+                             "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
+    spectrum = scan.replace("pm_caps = 12", "pm_caps = 12\nv_values = " +
+                            " ".join(f"{v:g}" for v in couplings))
+    for name, run, text, n_files in (("vscan", run_vscan, scan, 11),
+                                     ("spectrum", run_spectrum, spectrum, 20)):
+        cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / name / str(threads)
+            run(cfg, out, threads=threads)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1] and len(outputs[0]) == n_files, name
+
+
+def test_run_spectrum_returns_its_paths_in_point_order(tmp_path):
+    # per coupling: the ZOFE trace and spectrum, then the pseudomode ones,
+    # whichever worker process computed the point
+    cfg = load_scenario(write_cfg(tmp_path, STICK_CFG.replace("[run]", "[run]\nv_values = 0.2 -0.2 0")))
+    paths = run_spectrum(cfg, tmp_path, threads=2)
+    assert [path.name for path in paths] == [
+        f"{kind}_{method}_V{v}.tsv" for v in ("0.2", "-0.2", "0") for method in ("zofe", "pm")
+        for kind in ("trace", "spectrum")]
+
+
+def test_an_output_directory_that_cannot_be_written_exits_1(tmp_path, capsys):
+    # --out names a file, or a file to write is a directory: one line, no traceback
+    path = write_cfg(tmp_path, STICK_CFG)
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "blocked" / "spectrum_pm.tsv").mkdir(parents=True)
+    for out in ("taken", "blocked"):
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / out)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr.startswith("output error: ") and stderr.count("\n") == 1
+    assert "spectrum_pm.tsv" in stderr
 
 
 def test_couplings_that_share_file_names_are_a_config_error(tmp_path, capsys):

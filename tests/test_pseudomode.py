@@ -31,7 +31,8 @@ from aggspec.pseudomode import (
     propagate_pm,
 )
 from aggspec.spectra import (
-    TraceTailError, absorption_from_trace, cumulant_oracle, default_nu_grid, overlap,
+    Spectrum, TraceTailError, absorption_from_trace, cumulant_oracle, default_nu_grid,
+    overlap,
 )
 
 DIMER_BATH = LorentzianBath.from_huang_rhys(2, 0.64, 1.0, 0.25)
@@ -674,16 +675,23 @@ def test_converge_caps_check_rungs_are_cheap_and_keep_the_overlaps(monkeypatch):
         return Counted(matrix), psi0, mu_tot_sq
 
     monkeypatch.setattr(pseudomode, "_generator_and_state", counted)
+    found = []
+    monkeypatch.setattr(pseudomode, "overlap", lambda a, b: found.append(overlap(a, b)) or found[-1])
     assert converge_caps(FIG3A_TRIMER, bath, cfg, 1e-3, 0.01, nu)[0] == 8
     assert len(matvecs) <= 270
-    # each rung-pair overlap moves by at most 1e-5 points against full precision
+    # the ladder's overlaps are those of the rungs' resolvent spectra
+    # Re R(eta - 1j nu) at the check tolerance; each moves by at most 1e-5
+    # points against rungs deepened to _KRYLOV_TOL (2.2e-9 here)
     spectra = {tol: [] for tol in (CHECK_TOL, _KRYLOV_TOL)}
     for caps in (1, 2, 4, 8, 16):
         rung = _Lanczos(*original(FIG3A_TRIMER, bath, caps), cfg, nu)
-        for tol, found in spectra.items():
-            found.append(absorption_from_trace(rung.trace(tol), 0.01, nu))
-    loose, full = ([overlap(a, b) for a, b in itertools.pairwise(found)]
-                   for found in spectra.values())
+        for tol, rungs in spectra.items():
+            rung.deepen(tol)
+            resolvent = pseudomode._ContinuedFraction(0.01 - 1j * nu).extend(rung.alpha, rung.beta)
+            rungs.append(Spectrum(nu=nu, values=rung.scale * resolvent.real))
+    loose, full = ([overlap(a, b) for a, b in itertools.pairwise(rungs)]
+                   for rungs in spectra.values())
+    assert found == loose
     assert np.max(np.abs(np.subtract(loose, full))) <= 1e-5
 
 
