@@ -25,8 +25,9 @@ block.  Assembly finds its targets by index: a hop is i -> i + n_vectors,
 and a ladder step of slot s lowers beta_s within the block of the slot's own
 monomer, to the row given by the lexicographic rank of beta - e_s (from the
 closed-form count C(r + k, k) of the vectors over k slots with sum <= r).
-The CSR arrays of G are written in place: the diagonal and each link once
-in each direction, then a sort within each row.
+The CSR arrays of G are written in place by the one rule below, on the full
+basis as on the folded one: the diagonal of each row, then each link at its
+ends, then a sort within each row that adds up entries meeting in one place.
 
 A chain whose site energies and per-monomer bath term lists are palindromic
 (``model.mirror_slots``; every shipped config) has G commute with the mirror
@@ -38,12 +39,13 @@ onto the real orthonormal orbit basis, e_r for a fixed point r = P(r) and
 
   G_e[a, b] = (c_a / c_b) sum_{j in orbit b} G[r_a, j],   psi0_e[a] = c_a psi0[r_a],
 
-with c = sqrt(2) for a pair and 1 for a fixed point.  Only the rows r are
-written: the blocks n < N // 2 whole and, for odd N, the middle monomer's
-rows k <= P(k); a hop between a state and its own mirror partner (the two
-middle monomers of an even chain, at P(k) = k) lands on the diagonal.
-G_e = U^T G U is complex symmetric, so everything below runs on it
-unchanged and gives the same M(t) up to rounding, on half the states for
+with c = sqrt(2) for a pair and 1 for a fixed point.  Assembly reads it
+link by link: every link (i, j) of G writes (c_i / c_j) G[i, j] at
+(a(i), a(j)), a(i) the row of i's orbit, for each end i that heads its
+orbit (i = r).  The heads are the blocks n < N // 2 whole and, for odd N,
+the middle monomer's rows k <= P(k); the full basis has every state its
+own head.  G_e = U^T G U is complex symmetric, so everything below runs on
+it unchanged and gives the same M(t) up to rounding, on half the states for
 even N and (states + fixed points) / 2 for odd N.  A disordered chain, an
 uneven bath, asymmetric dipoles or a monomer keep the full basis.
 
@@ -124,6 +126,10 @@ _GHOST_RE = 1e-12
 _ALIAS_WEIGHT = 1e-6
 # samples evaluated per block of exp(t lambda)
 _BLOCK = 256
+# c_i / c_j of a fold, indexed by (i is a pair, j is a pair), c = sqrt(2) for a
+# pair and 1 for a state that is its own image: sqrt(2) / 2 halves sqrt(2)
+# exactly, so two entries of it that meet add up to sqrt(2) times the link
+_ORBIT_RATIO = np.array([[1.0, np.sqrt(2.0) / 2], [np.sqrt(2.0), 1.0]])
 
 
 class BasisSizeError(PropagationError):
@@ -237,6 +243,16 @@ def enumerate_basis(n_monomers: int, modes_per_monomer, cap: int, fold=False) ->
     return occupations
 
 
+def _ladder(occupations, s, table, cap):
+    """(rows with beta_s > 0, rows of their beta - e_s) of an occupation
+    block, int32, ``table`` from ``_count_table``.  The lowered copy of the
+    block dies on return, before assembly allocates the CSR arrays."""
+    upper = np.flatnonzero(occupations[:, s] > 0)
+    lowered = occupations[upper]
+    lowered[:, s] -= 1
+    return upper.astype(np.int32), _ranks(lowered, table, cap).astype(np.int32)
+
+
 def assemble_generator(
     agg: AggregateSpec, bath: LorentzianBath, occupations, cap: int, *, fold: bool = False
 ) -> scipy.sparse.csr_matrix:
@@ -245,13 +261,14 @@ def assemble_generator(
     (n, row k) is index n * n_vectors + k.
 
     Ladder transitions that leave the cap are dropped (hard truncation).
-    The CSR arrays are written in place: the diagonal and each link once in
-    each direction, then sorted within each row.
-
-    With ``fold``, G is folded onto the mirror-even half of the basis
-    (module docstring), which needs a mirror-symmetric chain
-    (``mirror_slots``): row n * n_vectors + k for n < N // 2, and for odd N
-    then the middle monomer's rows k <= P(k) in increasing k.
+    With ``fold``, G is folded onto the mirror-even half of the basis, which
+    needs a mirror-symmetric chain (``mirror_slots``): row n * n_vectors + k
+    for n < N // 2, then for odd N the middle monomer's rows k <= P(k) in
+    increasing k.  One rule writes the CSR arrays in place, unfolded with
+    every state its own head: the diagonal of each head, then each link
+    (i, j) at (a(i), a(j)) with (c_i / c_j) G[i, j], from each end i that
+    heads its orbit (module docstring), then a sort within each row that
+    adds up the entries meeting in one place.
     """
     if bath.n_monomers != agg.n_monomers:
         raise ValueError("bath must provide a term list per monomer")
@@ -263,72 +280,55 @@ def assemble_generator(
             f"bath and cap {cap}: expected ({n_vectors}, {bath.count})"
         )
     table = _count_table(bath.count, cap)
-    hop_value = -1j * agg.coupling_v
-    # whole electronic blocks, and the rows of the middle monomer's block of
-    # an odd folded chain
-    blocks, middle = agg.n_monomers, np.empty(0, dtype=np.int64)
+    n_monomers, k = agg.n_monomers, np.arange(n_vectors)
+    image = k  # the row of each vector's mirror image, in the mirror block
     if fold:
         mirror = mirror_slots(agg, bath)
         if mirror is None:
             raise ValueError("folding needs palindromic site energies and bath term lists")
-        image = _ranks(occupations, table, cap, mirror)  # the row of each vector's mirror image
-        k = np.arange(n_vectors)
-        blocks = agg.n_monomers // 2
-        if agg.n_monomers % 2:
-            # orbit {k, P(k)} of the middle block is row min(k, P(k)) there
-            middle = np.flatnonzero(k <= image)
-            to_middle = np.cumsum(k <= image) - 1
-            to_middle = to_middle[np.minimum(k, image)] + blocks * n_vectors
-    dim = blocks * n_vectors + middle.size
-    written = blocks + bool(middle.size)  # the electronic blocks that hold rows
+        image = _ranks(occupations, table, cap, mirror)
+    # Per block m, whose mirror image is block twin, the orbit table of its
+    # rows k: whether (m, k) heads its orbit {(m, k), (twin, image[k])}, that
+    # is, comes first; a(i), the orbit's row (the blocks before the middle of
+    # the chain hold only heads); 1 for a pair (c = sqrt(2)), 0 for a state
+    # that is its own image (c = 1)
+    orbits = []
+    for m in range(n_monomers):
+        twin = n_monomers - 1 - m if fold else m
+        if m == twin:
+            head, pair = k <= image, k != image
+            a = m * n_vectors + (np.cumsum(head) - 1)[np.minimum(k, image)]
+        else:
+            head, pair = np.full(n_vectors, m < twin), np.ones(n_vectors, dtype=bool)
+            a = min(m, twin) * n_vectors + (k if m < twin else image)
+        orbits.append((head, a.astype(np.int32), pair.astype(np.int8)))
+    dim = sum(int(head.sum()) for head, _, _ in orbits)
+    written = (n_monomers + 1) // 2 if fold else n_monomers  # the blocks that hold a head
 
-    # The off-diagonal links (i, j, s, value), each entering G at (i, j) and
-    # (j, i).  A ladder step of slot s joins row k with beta_s > 0, in the
-    # block of the slot's own monomer, to the row of beta - e_s in that
-    # block; a hop, s = None, joins (n, k) to (n + 1, k) with value -1j*V.
+    # The off-diagonal links (m, i, n, j, s) join rows i of block m to rows j
+    # of block n.  A ladder step of slot s joins the rows with beta_s > 0, in
+    # the block of the slot's own monomer, to the rows of beta - e_s there; a
+    # hop, s = None, joins (m, k) to (m + 1, k) with -1j*V.
     links = []
     for s, owner in enumerate(bath.monomer):
-        if owner >= written:
-            continue  # the mirror image of a folded row's block
-        upper = np.flatnonzero(occupations[:, s] > 0)
-        if owner == blocks:
-            upper = upper[upper <= image[upper]]  # one link per pair of mirror links
-        lowered = occupations[upper]
-        lowered[:, s] -= 1
-        lower = _ranks(lowered, table, cap)
-        if owner == blocks:
-            upper, lower = to_middle[upper], to_middle[lower]
-        else:
-            offset = owner * n_vectors
-            upper, lower = upper + offset, lower + offset
-        links.append((upper.astype(np.int32), lower.astype(np.int32), s, None))
+        if owner < written:
+            upper, lower = _ladder(occupations, s, table, cap)
+            links.append((owner, upper, owner, lower, s))
     if agg.coupling_v != 0.0:
-        hop = np.arange(max(blocks - 1, 0) * n_vectors, dtype=np.int32)
-        links.append((hop, hop + n_vectors, None, hop_value))
-        last = (blocks - 1) * n_vectors  # the last whole block of a folded chain
-        if fold and blocks and middle.size:
-            # (N // 2 - 1, k) to the middle orbit of k: sqrt(2) -1j*V to a
-            # fixed point, -1j*V from each member of a pair (one group per
-            # member, so that no group writes a row twice)
-            for side, value in ((k < image, hop_value), (k > image, hop_value),
-                                (k == image, hop_value * np.sqrt(2.0))):
-                at = np.flatnonzero(side)
-                links.append(((at + last).astype(np.int32), to_middle[at].astype(np.int32),
-                              None, value))
-        elif fold and blocks:
-            # (N/2 - 1, k) to (N/2, k), the mirror image of (N/2 - 1, P(k)):
-            # a link within the block, on the diagonal where k = P(k)
-            at = np.flatnonzero(k < image)
-            links.append(((at + last).astype(np.int32), (image[at] + last).astype(np.int32),
-                          None, hop_value))
+        rows = k.astype(np.int32)
+        links += [(m, rows, m + 1, rows, None) for m in range(min(written, n_monomers - 1))]
 
-    # a ladder link changes the total occupation and a hop, folded or not,
-    # keeps it; no two links of a kind join the same pair, so no (i, j)
-    # occurs twice and each row holds its diagonal plus one entry per link end
+    def ends():
+        """Each link in both directions: the orbit tables and rows of the end
+        i that writes and of the other end j, the link's slot and upper rows."""
+        for m, i, n, j, s in links:
+            yield orbits[m], i, orbits[n], j, s, i
+            yield orbits[n], j, orbits[m], i, s, i
+
+    # each head row holds its diagonal plus one entry per link end it heads
     counts = np.ones(dim, dtype=np.int32)
-    for i, j, _, _ in links:
-        counts += np.bincount(i, minlength=dim)
-        counts += np.bincount(j, minlength=dim)
+    for (head, a, _), i, *_ in ends():
+        counts += np.bincount(a.take(i[head.take(i)]), minlength=dim)
     nnz = int(counts.sum(dtype=np.int64))
     index = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(dim + 1, dtype=index)
@@ -337,42 +337,39 @@ def assemble_generator(
     data = np.empty(nnz, dtype=complex)
     fill = indptr[:-1].copy()  # next free position in each row
 
-    # the diagonal, one block at a time: eps_n plus the occupation sums
+    # the diagonal of the heads, one block at a time: eps_n plus the occupation sums
     damping = np.zeros(n_vectors)
     for z, b in zip(bath.z, occupations.T):
         damping += z.real * b
-    for n, eps in enumerate(agg.epsilon[:written]):
-        rows = middle if n == blocks else slice(None)
-        first = n * n_vectors
-        at = fill[first:first + (middle.size if n == blocks else n_vectors)]
-        indices[at] = np.arange(first, first + at.size, dtype=index)
+    for (head, a, _), eps in zip(orbits[:written], agg.epsilon):
         energy = np.full(n_vectors, eps)
         for z, b in zip(bath.z, occupations.T):
             energy += z.imag * b
-        diagonal = -1j * energy
-        diagonal -= damping
-        if fold and not middle.size and n == blocks - 1 and agg.coupling_v != 0.0:
-            diagonal[k == image] += hop_value
-        data[at] = diagonal[rows]
+        diagonal = -1j * energy[head]
+        diagonal -= damping[head]
+        rows = a[head]
+        at = fill[rows]
+        indices[at] = rows
+        data[at] = diagonal
     del damping, energy, diagonal
     fill += 1
-    couplings = np.sqrt(bath.gamma_amp)
-    for i, j, s, value in links:
-        if s is not None:
-            # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of
-            # its upper row i
-            owner = bath.monomer[s]
-            rows = i - owner * n_vectors if owner < blocks else middle[i - blocks * n_vectors]
-            value = 1j * couplings[s] * np.sqrt(occupations[rows, s])
-        for row, col in ((i, j), (j, i)):
-            at = fill[row]
-            indices[at] = col
-            data[at] = value
-            fill[row] += 1
+    couplings, hop_value = np.sqrt(bath.gamma_amp), -1j * agg.coupling_v
+    for (head, a, pair), i, (_, a_j, pair_j), j, s, upper in ends():
+        heads = head.take(i)
+        if not heads.all():  # only the ends that head their orbit write
+            i, j, upper = i[heads], j[heads], upper[heads]
+        # a ladder step of slot s carries 1j*sqrt(Gamma)*sqrt(beta_s) of its upper row
+        value = hop_value if s is None else 1j * couplings[s] * np.sqrt(
+            occupations[:, s].take(upper))
+        rows = a.take(i)
+        at = fill.take(rows)
+        indices[at] = a_j.take(j)
+        data[at] = _ORBIT_RATIO[pair.take(i), pair_j.take(j)] * value
+        fill[rows] += 1
     if not np.array_equal(fill, indptr[1:]):  # fancy indexing wrote a repeated row once
         raise RuntimeError("a link group repeats a row: the CSR generator lost entries")
     matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    matrix.sort_indices()
+    matrix.sum_duplicates()
     return matrix
 
 
@@ -605,8 +602,10 @@ class _Lanczos:
                 alpha.append(self.v @ w)
                 w -= np.multiply(alpha[-1], self.v, out=scaled)
                 residual = np.linalg.norm(w)
-                if residual <= _LUCKY_TOL * size:
-                    self.exact = True  # the vectors so far span an invariant subspace
+                # the vectors so far span an invariant subspace: the whole
+                # space at its dimension, whatever residual rounding leaves
+                if residual <= _LUCKY_TOL * size or len(alpha) == self.v.size:
+                    self.exact = True
                     break
                 ww = w @ w
                 if abs(ww) <= np.finfo(float).eps * residual**2:

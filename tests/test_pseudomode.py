@@ -403,6 +403,47 @@ def test_folded_generator_is_the_full_one_on_mirror_orbits(agg, bath, caps):
     assert (folded != folded.T).nnz == 0  # complex symmetric, bit for bit
 
 
+@st.composite
+def mirror_chains(draw, max_states=600):
+    """A palindromic chain of 2 to 7 monomers (V = 0 or not) with palindromic
+    per-monomer term lists of uneven lengths, the middle monomer of an odd
+    chain carrying up to three terms, at a cap up to 4 within ``max_states``."""
+    n = draw(st.integers(2, 7))
+    real = lambda lo, hi: st.floats(lo, hi, allow_nan=False)
+    term = st.tuples(real(0.01, 2.0), real(-1.0, 1.0), real(0.0, 0.5))
+    half = draw(st.lists(st.lists(term, max_size=2), min_size=n // 2, max_size=n // 2))
+    middle = [draw(st.lists(term, max_size=3))] if n % 2 else []
+    terms = tuple(tuple(t) for t in half + middle + half[::-1])
+    eps = draw(st.lists(real(-0.5, 0.5), min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    agg = AggregateSpec.equal_parallel(
+        n, eps + eps[:n // 2][::-1], draw(st.one_of(st.just(0.0), real(-1.0, 1.0))))
+    slots = sum(map(len, terms))
+    fits = [cap for cap in range(5) if n * count_occupation_vectors(slots, cap) <= max_states]
+    return agg, LorentzianBath(terms), draw(st.sampled_from(fits))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(mirror_chains())
+def test_fold_rule_property(problem):
+    # the one fold rule, each link written at the ends that head their orbit
+    # with c_i / c_j, gives U^T G U of the dense entry-by-entry reference; U =
+    # W / c with W the 0/1 orbit columns, so the reference is W^T G W / c c^T,
+    # which rounds below the tolerance.  Entries that meet in one place are
+    # summed into one: the CSR is canonical.
+    agg, bath, caps = problem
+    occupations = enumerate_basis(agg.n_monomers, [len(t) for t in bath.terms], caps)
+    folded = assemble_generator(agg, bath, occupations, caps, fold=True)
+    orbits = (mirror_orbit_basis(agg, bath, occupations) != 0).astype(float)
+    c = np.sqrt(orbits.sum(axis=0))
+    g = dense_reference(agg, bath, occupations)
+    reference = (orbits.T @ g @ orbits) / np.outer(c, c)
+    assert folded.shape[0] == orbits.shape[1] == pseudomode.count_states(
+        agg.n_monomers, [len(t) for t in bath.terms], caps, fold=True)
+    assert folded.has_canonical_format
+    assert_allclose(folded.toarray(), reference, rtol=0, atol=1e-15)
+    assert (folded != folded.T).nnz == 0  # complex symmetric, bit for bit
+
+
 def test_folding_needs_a_mirror_symmetric_chain():
     agg = AggregateSpec.equal_parallel(3, [0.1, -0.2, 0.3], 0.44)
     occupations = enumerate_basis(3, [2, 2, 2], 2)
@@ -487,6 +528,17 @@ def test_folded_assembly_peak_memory_stays_near_its_csr():
     block = enumerate_basis(2, [6, 6], 6)
     csr, peak = traced_peak(lambda: assemble_generator(agg, six_term_bath(2), block, 6, fold=True))
     assert csr.shape == (18564, 18564)
+    assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
+
+
+def test_folded_odd_chain_assembly_peak_memory_stays_near_its_csr():
+    # the middle block of an odd chain writes only at its heads, from links
+    # that are all ranked; its orbit tables stay small beside the CSR
+    agg = AggregateSpec.equal_parallel(7, coupling_v=0.44)
+    bath = LorentzianBath.from_huang_rhys(7, 0.64, 1.0, 0.25)
+    block = enumerate_basis(7, [1] * 7, 12)
+    csr, peak = traced_peak(lambda: assemble_generator(agg, bath, block, 12, fold=True))
+    assert csr.shape[0] == pseudomode.count_states(7, [1] * 7, 12, fold=True)
     assert peak <= 2.0 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
@@ -942,6 +994,25 @@ def test_lanczos_single_state_stops_at_lucky_breakdown():
     assert Counted.matvecs == 1
     assert trace.dt == 0.02 and trace.samples.size == 501
     assert_allclose(trace.samples, 2.0 * np.exp(g * trace.times), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "agg, bath, caps",
+    [
+        (AggregateSpec.equal_parallel(1), LorentzianBath.from_huang_rhys(1, 1.2, 1.0, 0.25), 16),
+        (FIG3A_TRIMER, FIG1A_TRIMER_BATH, 2),
+    ],
+    ids=["fig2b-monomer-caps16", "fig3a-trimer-caps2"],
+)
+def test_lanczos_stops_at_the_dimension_of_its_space(agg, bath, caps):
+    # 17 states each: the recursion is exact at depth 17, but rounding
+    # leaves a residual above the lucky-breakdown threshold (1.9e-10 of |G v|
+    # on the monomer), so only the dimension ends it there
+    cfg = PropagationConfig(dt=0.01, t_max=150.0)
+    recursion = pseudomode._recursion(agg, bath, cfg, caps)
+    recursion.deepen(_KRYLOV_TOL)
+    assert recursion.matrix.shape[0] == len(recursion.alpha) == 17
+    assert recursion.exact and len(recursion.beta) == 16
 
 
 def test_krylov_trace_does_not_depend_on_the_blas_pool():
