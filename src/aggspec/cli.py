@@ -13,7 +13,8 @@ cannot silently change a run.  Blocks:
   [scan]       v_min, v_max, v_steps, keep_spectra
 
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
-``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``);
+``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``),
+and with ``pm_caps = auto`` converged_caps.tsv, the caps of each point;
 ``converge`` certifies the pseudomode cap, writes it to converged_caps.tsv
 and writes the converged spectrum.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
@@ -43,7 +44,6 @@ Exit codes: 0 ok, 1 config or output error, 2 solver error, 3 partial scan.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import math
 import sys
@@ -426,6 +426,8 @@ def _run(cfg: ScenarioConfig, points, out_dir, threads=1, scan=False):
     bounds = [k * size + min(k, longer) for k in range(n_chunks + 1)]
     payloads = [(cfg, points[start:end], not scan) for start, end in zip(bounds, bounds[1:])]
     if len(payloads) > 1:
+        import concurrent.futures  # only a pool needs it; ZOFE-only runs skip its import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             records = [r for chunk in pool.map(_run_chunk, payloads) for r in chunk]
     else:
@@ -456,12 +458,18 @@ def run_spectrum(cfg: ScenarioConfig, out_dir, threads=1) -> list:
 
 def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
     """Overlap between the two methods over the coupling scan: writes
-    overlap.tsv (ascending V), failed points as nan; returns (paths, n_failed)."""
+    overlap.tsv (ascending V) and, with auto caps, converged_caps.tsv (the
+    caps each point certified), failed points as nan; returns (paths, n_failed)."""
     if cfg.scan is None or cfg.method != "both":
         raise ConfigError("vscan needs a [scan] block and method = both")
     written, rows = _run(cfg, _points(cfg, "vscan"), out_dir, threads, scan=True)
+    couplings = [row[0] for row in rows]
     written.insert(0, _write_tsv(Path(out_dir) / "overlap.tsv", ("V", "overlap_percent"),
-                                 [[row[0] for row in rows], [row[2] for row in rows]]))
+                                 [couplings, [row[2] for row in rows]]))
+    if cfg.pm_caps is None:
+        certified = [math.nan if error is not None else caps for _, caps, _, error in rows]
+        written.insert(1, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("V", "caps"),
+                                     [couplings, certified]))
     return written, sum(row[3] is not None for row in rows)
 
 

@@ -243,11 +243,12 @@ def enumerate_basis(n_monomers: int, modes_per_monomer, cap: int, fold=False) ->
     return occupations
 
 
-def _ladder(occupations, s, table, cap):
-    """(rows with beta_s > 0, rows of their beta - e_s) of an occupation
-    block, int32, ``table`` from ``_count_table``.  The lowered copy of the
-    block dies on return, before assembly allocates the CSR arrays."""
-    upper = np.flatnonzero(occupations[:, s] > 0)
+def _ladder(occupations, s, table, cap, head):
+    """(rows with beta_s > 0 where ``head``, rows of their beta - e_s) of an
+    occupation block, int32, ``table`` from ``_count_table``.  The lowered
+    copy of the block dies on return, before assembly allocates the CSR
+    arrays."""
+    upper = np.flatnonzero(head & (occupations[:, s] > 0))
     lowered = occupations[upper]
     lowered[:, s] -= 1
     return upper.astype(np.int32), _ranks(lowered, table, cap).astype(np.int32)
@@ -307,12 +308,15 @@ def assemble_generator(
 
     # The off-diagonal links (m, i, n, j, s) join rows i of block m to rows j
     # of block n.  A ladder step of slot s joins the rows with beta_s > 0, in
-    # the block of the slot's own monomer, to the rows of beta - e_s there; a
-    # hop, s = None, joins (m, k) to (m + 1, k) with -1j*V.
+    # the block of the slot's own monomer, to the rows of beta - e_s there,
+    # only from rows that head their orbit: the mirror maps a middle
+    # monomer's slot to itself, so lowering it keeps the order of beta and
+    # P(beta), and a link there joins two heads or two non-heads, which never
+    # write.  A hop, s = None, joins (m, k) to (m + 1, k) with -1j*V.
     links = []
     for s, owner in enumerate(bath.monomer):
         if owner < written:
-            upper, lower = _ladder(occupations, s, table, cap)
+            upper, lower = _ladder(occupations, s, table, cap, orbits[owner][0])
             links.append((owner, upper, owner, lower, s))
     if agg.coupling_v != 0.0:
         rows = k.astype(np.int32)

@@ -42,16 +42,16 @@ alone or in any batch.  ``propagate_zofe`` is the batch of one.
 
 The auxiliary feedback is quadratic; in narrow resonance-like windows of the
 electronic coupling it develops sharp transients that the step must resolve.
-Each lane keeps its own clock and step dt / 2^level.  A lane whose norm guard
-trips in grid step k restarts from t = 0 inside the running batch and runs
-the grid steps [0, k + _REFINE_MARGIN) one level finer, then dt.  A later
-trip inside that prefix raises the level; one after it extends the prefix
-from the state saved at its end, the state a rerun from t = 0 reaches bit for
-bit.  At dt/8 a trip inside the prefix is the lane's PropagationError.  Each
-RK4 call only copies psi into a short block; the samples M(t) and the norm
-guard are reduced once per block and at every event, and a lane that tripped
-inside a block is rewound to its first tripped call, so the refinement runs
-as if the guard were checked every call.
+Each lane keeps its own step dt / 2^level and its own clock, in ticks of the
+finest step dt/8.  A lane whose norm guard trips in grid step k restarts from
+t = 0 inside the running batch and runs the grid steps [0, k + _REFINE_MARGIN)
+one level finer, then dt.  A later trip inside that prefix raises the level;
+one after it extends the prefix from the state saved at its end, the state a
+rerun from t = 0 reaches bit for bit.  At dt/8 a trip inside the prefix is the
+lane's PropagationError.  Each RK4 call only copies psi into a short block;
+the samples M(t) and the norm guard are reduced once per block and at every
+event, and a lane that tripped inside a block is rewound to its first tripped
+call, so the refinement runs as if the guard were checked every call.
 """
 
 from __future__ import annotations
@@ -139,59 +139,52 @@ class _LaneRhs:
     """Right-hand side of a batch of lanes, with L[n] = -|n><n|, as one product.
 
     A lane's packed state has shape (K', N, N + 1), K' the most terms any
-    lane carries (``_mirror_layout``): slot k holds the carried Q[k] in its
-    first N columns, and slot 0 also psi in column N (zero in the others);
-    slots past a lane's carried terms are inert (Q = z = S = 0).  For every
-    (lane, slot) one N x 2N by 2N x (N + 1) product
+    lane carries (``_mirror_layout``) or ``slots`` if more: slot k holds the
+    carried Q[k] in its first N columns, and slot 0 also psi in column N
+    (zero in the others); slots past a lane's carried terms are inert
+    (Q = z = S = 0).  For every (lane, slot) one N x 2N by 2N x (N + 1) product
 
         [K | Q[k]] @ [[Q[k], psi]; [-(K + z_k I), 0]]
 
     gives K Q[k] - Q[k] K - z_k Q[k], to which the source S_k = Gamma_k
     L[n_k] is added, and in slot 0's last column K psi.  The bath part of K
-    is gathered from the state elementwise, by indices fixed per batch.  The
-    constant blocks are written once per batch; ``select`` only drops lanes.
+    is gathered from the state elementwise.  The indices and the constant
+    blocks are written once, for the lanes given: when a lane of a batch
+    ends, the others get a new one with the batch's ``slots``.
     """
 
-    def __init__(self, minus_ih, baths, sources, flips):
+    def __init__(self, minus_ih, baths, sources, flips, slots=1):
         b, n, _ = minus_ih.shape
         carried = [int((~flip).sum()) for flip in flips]
         # an empty bath keeps one inert slot (Q = z = S = 0) to carry psi
-        monomer, z, amp = (np.zeros((b, max(*carried, 1)), dtype=d) for d in (int, complex, float))
+        shape = (b, max(*carried, slots))
+        monomer, z, amp = (np.zeros(shape, dtype=d) for d in (int, complex, float))
         for lane, (t, c) in enumerate(zip(baths, carried)):
             monomer[lane, :c], z[lane, :c], amp[lane, :c] = t.monomer[:c], t.z[:c], t.gamma_amp[:c]
         # Row n of -sum_n L[n]^dag Qbar[n] is the sum of row n of Q[k] over
         # the terms k of monomer n.  A term that is not carried is R Q[s] R,
         # s = source[k], whose row n is row N-1-n of Q[s] reversed.
         # pick[b, n, m, j] is where element (n, m) of the j-th term of
-        # monomer n lies in lane b's right operand, which holds the state; a
-        # missing term points at a zero there (slot 0, row N, column N)
+        # monomer n lies in the flattened right operands, which hold the
+        # state; a missing term points at a zero in lane b's own (slot 0,
+        # row N, column N)
         self.right = np.zeros((*monomer.shape, 2 * n, n + 1), dtype=complex)
-        lane_size = self.right[0].size
-        index = np.arange(lane_size).reshape(self.right.shape[1:])
+        index = np.arange(self.right.size).reshape(self.right.shape)
         width = max((np.bincount(t.monomer, minlength=n).max() for t in baths if t.count), default=1)
-        pick = np.full((b, n, n, width), index[0, n, n])
+        self.pick = np.repeat(index[:, 0, n, n], n * n * width).reshape(b, n, n, width)
         for lane, (t, source, flip) in enumerate(zip(baths, sources, flips)):
             for k, (row, s, f) in enumerate(zip(t.monomer, source, flip)):
                 j = np.count_nonzero(t.monomer[:k] == row)
-                pick[lane, row, :, j] = index[s, n - 1 - row, n - 1::-1] if f else index[k, row, :n]
-        self.lane_pick, self.minus_ih = pick, minus_ih
+                self.pick[lane, row, :, j] = index[lane, s, n - 1 - row, n - 1::-1] if f \
+                    else index[lane, k, row, :n]
+        self.picked = np.empty(self.pick.shape, dtype=complex)
+        self.minus_ih, self.k_bath = minus_ih, np.empty_like(minus_ih)
         # the operators below carry a zero last column, the shape of a slot
         self.minus_z, self.source = np.zeros((2, *monomer.shape, n, n + 1), dtype=complex)
         self.minus_z[..., :n] = -z[..., None, None] * np.eye(n)
         self.source[..., :n] = amp[..., None, None] * coupling_operators(n)[monomer]
         self.left = np.zeros((*monomer.shape, n, 2 * n), dtype=complex)
-        self.select(slice(None))
-
-    def select(self, lanes):
-        """Restrict the batch to the given lane positions."""
-        for name in ("minus_ih", "lane_pick", "minus_z", "source", "left", "right"):
-            setattr(self, name, getattr(self, name)[lanes])
-        b, n, _ = self.minus_ih.shape
-        # the picks in the flattened right operands of the remaining lanes
-        self.pick = self.lane_pick + self.right[0].size * np.arange(b)[:, None, None, None]
-        self.picked = np.empty(self.pick.shape, dtype=complex)
         self.k_op = np.zeros((b, n, n + 1), dtype=complex)
-        self.k_bath = np.empty_like(self.minus_ih)
         self.k_cols, self.k_block = self.k_op[..., :n], self.k_op[:, None]
         self.left_k, self.left_q = self.left[..., :n], self.left[..., n:]
         self.right_state, self.right_k = self.right[..., :n, :], self.right[..., n:, :]
@@ -227,33 +220,32 @@ def _run_lanes(aggs, baths, config: PropagationConfig):
         raise ValueError("a batch needs one bath per lane, and the lanes need the same "
                          "number of monomers and of bath terms")
     sources, flips = (np.stack(a) for a in zip(*map(_mirror_layout, aggs, baths)))
-    rhs = _LaneRhs(np.stack([-1j * build_system_hamiltonian(agg) for agg in aggs]),
-                   baths, sources, flips)
+    # K' of the whole batch: a lane's state keeps its shape when the widest lane ends
+    slots = max(int((~flips).sum(axis=1).max()), 1)
+    minus_ih = np.stack([-1j * build_system_hamiltonian(agg) for agg in aggs])
     bright = [initial_bright_state(agg) for agg in aggs]
     psi0 = np.stack([p for p, _ in bright])
     mu_sq = np.array([mu_tot**2 for _, mu_tot in bright])
-    state0 = np.zeros(rhs.right_state.shape, dtype=complex)
+    dt, n_steps, lanes = config.dt, config.n_steps, len(aggs)
+    state0 = np.zeros((lanes, slots, n, n + 1), dtype=complex)
     state0[:, 0, :, n] = psi0
     bra = mu_sq[:, None] * psi0.conj()  # per lane mu_tot^2 <psi0|
 
-    dt, n_steps, lanes = config.dt, config.n_steps, len(aggs)
     samples = np.empty((lanes, n_steps + 1), dtype=complex)
     samples[:, 0] = mu_sq * np.einsum("bi,bi->b", psi0.conj(), psi0)
-    levels = np.zeros(lanes, dtype=int)
-    prefix = np.zeros(lanes, dtype=int)  # grid steps [0, prefix) run at the level
-    # the state at grid step saved_grid where a lane last started or ended its
-    # prefix or ended its run; a trip after the prefix resumes there
-    saved_grid, saved = np.zeros(lanes, dtype=int), state0.copy()
-    errors = {}
-    # per running lane; rows are dropped when a lane ends or fails
+    # per lane: its level, and the grid steps [0, prefix) it runs at that level
+    levels, prefix = np.zeros(lanes, dtype=int), np.zeros(lanes, dtype=int)
+    # where a lane resumes: state0 at t = 0 after a restart, or the state at its
+    # prefix end after a trip past the prefix; at the end, the final state
+    saved, errors = state0.copy(), {}
+    # per running lane (its row drops when it ends or fails): its state, and its
+    # clock in ticks of dt / fine: the ticks done as of the last event, the
+    # ticks of one RK4 call, and the tick where it ends its prefix or its run
+    fine = 1 << _MAX_LEVEL
     live, state = np.arange(lanes), saved.copy()
-    # grid steps done, substeps done inside the current one, and the grid
-    # step where the lane ends its prefix or its run (all as of the last event)
-    grid, sub, stop = (np.zeros(lanes, dtype=int) for _ in range(3))
-    nsub = np.ones(lanes, dtype=int)
+    ticks, stride, stop = (np.zeros(lanes, dtype=int) for _ in range(3))
     # RK4 calls since the last event, and up to the next; per lane whether it
-    # tripped in the last block, and the substeps since t = 0 and the norm at
-    # its first trip there
+    # tripped in the last block, and the tick and the norm at its first trip
     calls = countdown = 0
     tripped, trip_at, trip_norm_sq = np.zeros(lanes, dtype=bool), None, None
 
@@ -263,42 +255,43 @@ def _run_lanes(aggs, baths, config: PropagationConfig):
         while True:
             if calls == countdown:
                 # an event: a lane reached its stop or tripped
-                grid, sub = grid + (sub + calls) // nsub, (sub + calls) % nsub
+                ticks = ticks + calls * stride
                 for pos in np.flatnonzero(tripped):
                     lane, reached = live[pos], trip_at[pos]
-                    step = (reached - 1) // nsub[pos]  # the grid step the trip fell in
-                    if step >= prefix[lane]:
+                    step = (reached - 1) // fine  # the grid step the trip fell in
+                    if step >= prefix[lane]:  # resume from saved at the old prefix end
+                        ticks[pos] = prefix[lane] * fine
                         levels[lane], prefix[lane] = max(levels[lane], 1), step + _REFINE_MARGIN
-                    elif levels[lane] < _MAX_LEVEL:
+                    elif levels[lane] < _MAX_LEVEL:  # restart from t = 0
                         levels[lane] += 1
-                        saved_grid[lane], saved[lane] = 0, state0[lane]
+                        ticks[pos], saved[lane] = 0, state0[lane]
                     else:
-                        substep = dt / nsub[pos]
                         errors[int(lane)] = PropagationError(
-                            f"state norm grew to {np.sqrt(trip_norm_sq[pos]):.6g} at "
-                            f"t = {reached * substep:.4g} with step {substep:.4g}; dt too large"
-                        )
+                            f"state norm grew to {np.sqrt(trip_norm_sq[pos]):.6g} at t = "
+                            f"{reached * dt / fine:.4g} with step {stride[pos] * dt / fine:.4g}; "
+                            "dt too large")
                         continue
-                    state[pos], grid[pos], sub[pos] = saved[lane], saved_grid[lane], 0
-                save = grid == stop
-                saved_grid[live[save]], saved[live[save]] = grid[save], state[save]
-                keep = (grid < n_steps) & np.array([lane not in errors for lane in live])
-                live, bra, state, grid, sub = (a[keep] for a in (live, bra, state, grid, sub))
+                    state[pos] = saved[lane]
+                saved[live[ticks == stop]] = state[ticks == stop]
+                keep = (ticks < n_steps * fine) & np.array([lane not in errors for lane in live])
+                live, bra, state, ticks = (a[keep] for a in (live, bra, state, ticks))
                 if live.size == 0:
                     break
-                in_prefix = grid < prefix[live]
-                nsub = 1 << np.where(in_prefix, levels[live], 0)
-                stop = np.where(in_prefix, np.minimum(prefix[live], n_steps), n_steps)
-                rhs.select(keep)
-                # each lane steps dt / nsub, and psi lies in slot 0's last column
-                h = np.broadcast_to((dt / nsub)[:, None, None, None], state.shape).astype(complex)
+                in_prefix = ticks < prefix[live] * fine
+                stride = fine >> np.where(in_prefix, levels[live], 0)
+                stop = fine * np.where(in_prefix, np.minimum(prefix[live], n_steps), n_steps)
+                rhs = _LaneRhs(minus_ih[live], [baths[lane] for lane in live],
+                               sources[live], flips[live], slots)
+                # each lane steps dt / (fine // stride), and psi lies in slot 0's last column
+                h = np.broadcast_to((dt / (fine // stride))[:, None, None, None],
+                                    state.shape).astype(complex)
                 half, sixth = 0.5 * h, h / 6.0
                 stage, k1, k2, k3, k4 = (np.empty_like(state) for _ in range(5))
                 stages = ((k1, k2, half), (k2, k3, half), (k3, k4, h))
                 psi = state[:, 0, :, n]
                 block = np.empty((_BLOCK, *psi.shape), dtype=complex)
                 # no lane reaches its stop before this many calls
-                calls, countdown = 0, int(((stop - grid) * nsub - sub).min())
+                calls, countdown = 0, int(((stop - ticks) // stride).min())
                 checked = 0  # calls whose psi has been sampled and guarded
 
             rhs(state, k1)
@@ -323,21 +316,20 @@ def _run_lanes(aggs, baths, config: PropagationConfig):
             psis = block[:calls - checked]
             overlaps = np.einsum("bi,cbi->bc", bra, psis)
             norm_sq = np.einsum("cbi,cbi->bc", psis.conj(), psis).real
-            # substeps after each call of the block since the lane's grid
-            # point at the last event; only a call that ends a grid step
-            # writes its sample, and a lane that trips writes over its slots
-            # again when it reruns them
-            reached = sub[:, None] + np.arange(checked + 1, calls + 1)
-            ends = reached % nsub[:, None] == 0
-            at = (grid[:, None] + reached // nsub[:, None])[ends]
-            samples[np.broadcast_to(live[:, None], ends.shape)[ends], at] = overlaps[ends]
+            # the ticks after each call of the block; only a call that ends a
+            # grid step writes its sample, and a lane that trips writes over
+            # its slots again when it reruns them
+            reached = ticks[:, None] + stride[:, None] * np.arange(checked + 1, calls + 1)
+            ends = reached % fine == 0
+            samples[np.broadcast_to(live[:, None], ends.shape)[ends], reached[ends] // fine] = \
+                overlaps[ends]
             bad = ~(norm_sq <= _NORM_GUARD**2)
             tripped = bad.any(axis=1)
             if tripped.any():
                 # the lane restarts from its first trip, as if the guard had
                 # stopped it there
                 first = bad.argmax(axis=1)
-                trip_at = grid * nsub + sub + checked + 1 + first
+                trip_at = ticks + stride * (checked + 1 + first)
                 trip_norm_sq = norm_sq[np.arange(live.size), first]
                 countdown = calls
             checked = calls

@@ -448,8 +448,23 @@ v_steps = 3
     assert run_vscan(cfg, tmp_path / "1", threads=1)[1] == 0
     assert ladders == [(-0.4, 8), (0.0, 8), (0.4, 8)]
     assert outside == []
-    assert (tmp_path / "1" / "overlap.tsv").read_bytes() == \
-        (tmp_path / "2" / "overlap.tsv").read_bytes()
+    for name in ("overlap.tsv", "converged_caps.tsv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    # the caps each point certified, in point order
+    assert (tmp_path / "1" / "converged_caps.tsv").read_text().startswith("# V caps\n")
+    assert read_tsv(tmp_path / "1" / "converged_caps.tsv").tolist() == \
+        [[v, 8.0] for v in read_tsv(tmp_path / "1" / "overlap.tsv")[:, 0]]
+
+    # a point whose ladder fails has no caps
+    def failing(agg, *args, **kwargs):
+        if agg.coupling_v == 0.0:
+            raise PropagationError("no cap converged")
+        return converge_caps(agg, *args, **kwargs)
+
+    monkeypatch.setattr(pseudomode, "converge_caps", failing)
+    assert run_vscan(cfg, tmp_path / "3", threads=1)[1] == 1
+    caps = read_tsv(tmp_path / "3" / "converged_caps.tsv")[:, 1]
+    assert caps[0] == caps[2] == 8 and np.isnan(caps[1])
 
 
 def test_a_failing_spectrum_run_does_not_depend_on_threads(tmp_path, monkeypatch, capsys):
@@ -754,16 +769,20 @@ def test_package_exports_every_public_name():
 
 def test_zofe_only_run_does_not_load_scipy_sparse(tmp_path):
     # only the pseudomode side needs scipy.sparse, whose import costs a run
-    # about 0.2 s and 20 MB; the default nu grid comes from spectra
+    # about 0.2 s and 20 MB; the default nu grid comes from spectra.  Only a
+    # process pool needs concurrent.futures (and the logging it imports), so
+    # a run on one worker loads neither
     text = "\n".join(line for line in MONOMER_CFG.splitlines() if not line.startswith("nu_"))
     path = write_cfg(tmp_path, text)
     code = (
         "import sys; from aggspec.cli import load_scenario, run_spectrum; "
         f"run_spectrum(load_scenario({str(path)!r}, 'zofe'), {str(tmp_path / 'out')!r}); "
-        "print('scipy.sparse' in sys.modules, 'aggspec.pseudomode' in sys.modules)"
+        "print(*(name in sys.modules for name in ('scipy.sparse', 'aggspec.pseudomode', "
+        "'concurrent.futures', 'logging')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "False False"
+    assert result.stdout.strip() == "False False False False"
     assert (tmp_path / "out" / "spectrum_zofe.tsv").exists()
+

@@ -516,6 +516,23 @@ def test_mixed_mirrored_and_full_lanes_are_bit_identical_alone_and_in_batch():
         assert np.max(np.abs(samples[b] - reference_run(agg, bath, cfg))) <= 1e-13 * mu_sq[b]
 
 
+def test_lanes_keep_the_batch_slots_when_the_widest_lane_ends_first():
+    # a disordered dimer carries both terms and never trips; the mirrored
+    # dimer at V = -0.425 carries one, refines and runs on after the other
+    # has ended, in a state with the batch's two slots; each lane gives the
+    # same bits alone and in the batch
+    lanes = [(AggregateSpec.equal_parallel(2, [0.1, 0.0], 0.3), DIMER_BATH),
+             (AggregateSpec.equal_parallel(2, coupling_v=-0.425), DIMER_BATH)]
+    assert [int(_mirror_layout(agg, bath)[1].sum()) for agg, bath in lanes] == [0, 1]
+    cfg = PropagationConfig(dt=0.01, t_max=20.0)
+    samples, mu_sq, levels, errors, psi, aux = _run_lanes(*zip(*lanes), cfg)
+    assert not errors and list(levels) == [0, 1]
+    for b, (agg, bath) in enumerate(lanes):
+        alone = _run_lanes([agg], [bath], cfg)
+        for batched, single in zip((samples, mu_sq, levels, psi, aux), alone[:3] + alone[4:]):
+            assert np.array_equal(batched[b], single[0])
+
+
 @pytest.mark.parametrize("n", [2, 3, 7])
 def test_mirrored_lane_matches_the_full_term_set(n, monkeypatch):
     # a mirrored lane returns R Q[n] R as the aux of monomer N - 1 - n, and
