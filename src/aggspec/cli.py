@@ -13,32 +13,28 @@ cannot silently change a run.  Blocks:
   [scan]       v_min, v_max, v_steps, keep_spectra
 
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
-``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``),
-and with ``pm_caps = auto`` converged_caps.tsv, the caps of each point;
-``converge`` certifies the pseudomode cap, writes it to converged_caps.tsv
-and writes the converged spectrum.
+``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``);
+with ``pm_caps = auto`` and a pseudomode side both write converged_caps.tsv,
+the V and caps of each point.  ``converge`` certifies the pseudomode cap,
+writes it to converged_caps.tsv and writes the converged spectrum.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
 numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
-Every subcommand runs one pipeline over its points, one coupling each: the
-scan grid, the ``v_values`` or the configured aggregate (``converge`` has
-only that one).  ``--threads`` splits the points into contiguous chunks, one
-per worker process.  Workers compute and the parent writes: a chunk
-propagates its ZOFE side as one lane batch (``propagate_zofe_lanes``), then
-runs the pseudomode side point by point, and returns one record per point
-without writing a file.  A lane stopped by the norm guard restarts inside the
-batch with a finer step over the part of its trace up to the trip (see
-``aggspec.zofe``).  A point's record does not depend on the chunk it ran in,
-and a failed point stops no other.  Once every chunk has ended, the parent
-writes every file in point order from the records; a scan lists its failed
-points, and the other subcommands then report the first failure.  So neither
-the files nor the error depend on the split.  With ``pm_caps = auto`` every
-point runs the cap ladder at its own coupling.
+Every subcommand runs one pipeline over its points (``_Point``: V, file
+suffix, aggregate and bath): the scan grid, the ``v_values`` or the
+configured aggregate.  ``--threads`` splits them into contiguous chunks, one
+per worker process.  A chunk runs its ZOFE side as one lane batch
+(``propagate_zofe_lanes``), each lane under its point's bath, then the
+pseudomode side point by point, and returns one ``_Result`` per point
+without writing a file.  The parent then writes every file from the
+results in point order; a scan lists its failed points, the other
+subcommands raise the first.  So neither the files nor the error depend on
+the split.  With ``pm_caps = auto`` every point runs the cap ladder.
 The pseudomode side takes every trace from the Lanczos recursion of
 ``krylov_correlation``: no time step, dt sets only its sample grid.
 ``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
 
-Exit codes: 0 ok, 1 config or output error, 2 solver error, 3 partial scan.
+Exit codes: 0 ok, 1 config, usage or output error, 2 solver error, 3 partial scan.
 """
 
 from __future__ import annotations
@@ -254,11 +250,7 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
             raise ConfigError("v_values must not be empty")
 
     # The frequency grid must cover every coupling the scenario will visit.
-    v_extent = abs(agg.coupling_v)
-    if scan is not None:
-        v_extent = max(v_extent, abs(scan[0]), abs(scan[1]))
-    if v_values:
-        v_extent = max(v_extent, max(abs(v) for v in v_values))
+    v_extent = max(map(abs, (agg.coupling_v, *(scan[:2] if scan else ()), *(v_values or ()))))
     explicit_nu = [key for key in ("nu_min", "nu_max", "nu_step") if key in run]
     if explicit_nu and len(explicit_nu) != 3:
         raise ConfigError("give all of nu_min, nu_max, nu_step or none")
@@ -326,11 +318,32 @@ def _write_tsv(path, header, columns):
     return Path(path)
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One coupling of a run: V (None for the configured aggregate), suffix, aggregate, bath."""
+
+    v: float | None
+    suffix: str
+    aggregate: AggregateSpec
+    bath: LorentzianBath
+
+
+@dataclass(frozen=True)
+class _Result:
+    """A point's caps, its sides' spectra and (outside a scan) traces by method,
+    ``zofe`` or ``pm``, and the error that stopped a side (a failed lane skips pm)."""
+
+    point: _Point
+    caps: int | None
+    spectra: dict
+    traces: dict
+    error: Exception | None
+
+
 def _points(cfg: ScenarioConfig, command):
-    """The points a subcommand runs, in order: (V, file suffix, aggregate);
-    the scan grid of ``vscan``, the ``v_values`` of ``spectrum``, or else the
-    configured aggregate alone (V None, no suffix).  Points that write files
-    (all but those of a scan without kept spectra) must not share a suffix."""
+    """The points of a subcommand, in order, under the configured bath: the scan
+    grid, the ``v_values`` of ``spectrum`` or the configured aggregate (V None,
+    no suffix).  Points whose files are written must not share a suffix."""
     couplings = (None,)
     if command == "vscan":
         v_min, v_max, v_steps = cfg.scan
@@ -338,87 +351,73 @@ def _points(cfg: ScenarioConfig, command):
             v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
     elif command == "spectrum" and cfg.v_values:
         couplings = cfg.v_values
-    points = [(None, "", cfg.aggregate) if v is None else
-              (float(v), f"_V{v:g}", dataclasses.replace(cfg.aggregate, coupling_v=float(v)))
-              for v in couplings]
-    suffixes = [suffix for _, suffix, _ in points]
+    points = [_Point(None, "", cfg.aggregate, cfg.bath) if v is None else
+              _Point(float(v), f"_V{v:g}", dataclasses.replace(cfg.aggregate, coupling_v=float(v)),
+                     cfg.bath) for v in couplings]
+    suffixes = [point.suffix for point in points]
     if (command != "vscan" or cfg.keep_spectra) and len(set(suffixes)) < len(suffixes):
-        clash = [v for v, suffix, _ in points if suffixes.count(suffix) > 1]
+        clash = [point.v for point in points if suffixes.count(point.suffix) > 1]
         raise ConfigError(f"couplings {clash} would write files of the same name")
     return points
 
 
-def _write_point(out, method, suffix, side):
-    """spectrum_<method><suffix>.tsv of a side (trace or None, spectrum),
-    after trace_<method><suffix>.tsv if it kept its trace."""
-    trace, spectrum = side
-    written = [] if trace is None else [_write_tsv(
-        out / f"trace_{method}{suffix}.tsv", ("t", "ReM", "ImM"),
-        (trace.times, trace.samples.real, trace.samples.imag))]
-    return written + [_write_tsv(out / f"spectrum_{method}{suffix}.tsv", ("nu", "A"),
-                                 (spectrum.nu, spectrum.values))]
-
-
-def _side(cfg: ScenarioConfig, trace, keep_trace):
-    """(the trace if ``keep_trace`` else None, its spectrum), or the error
-    that stopped the side: the solver's own PropagationError, or the
-    TraceTailError of the transform."""
+def _side(cfg: ScenarioConfig, method, trace, keep_trace, spectra, traces):
+    """Store a side's spectrum and, if ``keep_trace``, its trace under its method, or
+    return the error that stopped it (PropagationError or the transform's TraceTailError)."""
     if isinstance(trace, PropagationError):
         return trace
     try:
-        return (trace if keep_trace else None), absorption_from_trace(trace, cfg.eta, cfg.nu)
+        spectra[method] = absorption_from_trace(trace, cfg.eta, cfg.nu)
     except TraceTailError as exc:
         return exc.with_traceback(None)  # the traceback would keep the trace alive
+    if keep_trace:
+        traces[method] = trace
 
 
-def _pm_trace(cfg: ScenarioConfig, agg):
-    """(caps, trace or the error that stopped it) of the pseudomode side of
-    one coupling.
-
-    Every trace is the one ``krylov_correlation`` gives.  Explicit caps
-    compute it once.  Auto caps run the cap ladder and return the trace of
-    the rung it accepts, which the ladder resumes to full precision.
-    """
+def _pm_trace(cfg: ScenarioConfig, point):
+    """(caps, trace or the error that stopped it) of a point's pseudomode side:
+    ``krylov_correlation`` at explicit caps, else the cap ladder's accepted rung."""
     from . import pseudomode
 
     try:
         if cfg.pm_caps is None:
-            return pseudomode.converge_caps(
-                agg, cfg.bath, cfg.propagation, cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu)
+            return pseudomode.converge_caps(point.aggregate, point.bath, cfg.propagation,
+                                            cfg.pm_tolerance, eta=cfg.eta, nu=cfg.nu)
         return cfg.pm_caps, pseudomode.krylov_correlation(
-            agg, cfg.bath, cfg.propagation, caps=cfg.pm_caps)
+            point.aggregate, point.bath, cfg.propagation, caps=cfg.pm_caps)
     except PropagationError as exc:
         exc.__cause__ = exc.__context__ = None  # a chained error's frames hold rungs
         return cfg.pm_caps, exc.with_traceback(None)
 
 
 def _run_chunk(payload):
-    """A contiguous chunk of points, computed and not written: one ZOFE
-    batch, then the pseudomode side point by point, skipped where the lane
-    failed.  Returns one record per point, (caps, ZOFE side, pseudomode
-    side); a side is None where the method does not run it, else what
-    ``_side`` gives.  A failed point is recorded, not raised."""
+    """A chunk of points, computed and not written: one ZOFE batch, each lane
+    under its point's bath, then the pseudomode side point by point where the
+    lane succeeded.  Returns one _Result per point; no failure is raised."""
     cfg, points, keep_traces = payload
-    sides_z = [None] * len(points)
+    spectra, traces, errors = [{} for _ in points], [{} for _ in points], [None] * len(points)
     if cfg.method != "pm":  # the batch's sample block lives on only in kept traces
-        sides_z = [_side(cfg, trace, keep_traces) for trace in propagate_zofe_lanes(
-            [agg for _, _, agg in points], cfg.bath, cfg.propagation)]
-    records = []
-    for (_, _, agg), side_z in zip(points, sides_z):
-        caps, side_p = cfg.pm_caps, None
-        if cfg.method != "zofe" and not isinstance(side_z, Exception):
-            caps, trace = _pm_trace(cfg, agg)
-            side_p = _side(cfg, trace, keep_traces)
-        records.append((caps, side_z, side_p))
-    return records
+        errors = [_side(cfg, "zofe", trace, keep_traces, s, t) for trace, s, t in zip(
+            propagate_zofe_lanes([p.aggregate for p in points], [p.bath for p in points],
+                                 cfg.propagation), spectra, traces)]
+    results = []
+    for point, s, t, error in zip(points, spectra, traces, errors):
+        caps = cfg.pm_caps
+        if cfg.method != "zofe" and error is None:
+            caps, trace = _pm_trace(cfg, point)
+            error = _side(cfg, "pm", trace, keep_traces, s, t)
+        results.append(_Result(point, caps, s, t, error))
+    return results
 
 
-def _run(cfg: ScenarioConfig, points, out_dir, threads=1, scan=False):
-    """Compute the points in ``threads`` contiguous chunks (the first ones one
-    point longer where they do not divide evenly), in one worker process each
-    if there are two or more, then write every file here, in point order.
-    Returns (files written, [(V, caps, scan overlap or nan, error or None)]
-    per point); a scan lists its failures on stderr, other runs raise the first."""
+def _run(cfg: ScenarioConfig, command, out_dir, threads=1, points=None):
+    """Compute the points of ``command`` (or ``points``) in ``threads``
+    contiguous chunks, the first ones longer by one where the split is uneven,
+    in one worker process each if two or more, then write every file here in
+    point order.  Returns (files, one _Result per point); a scan lists its
+    failures, other runs raise the first."""
+    points = points or _points(cfg, command)
+    scan = command == "vscan"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_chunks = max(1, min(threads, len(points)))
@@ -429,57 +428,59 @@ def _run(cfg: ScenarioConfig, points, out_dir, threads=1, scan=False):
         import concurrent.futures  # only a pool needs it; ZOFE-only runs skip its import
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            records = [r for chunk in pool.map(_run_chunk, payloads) for r in chunk]
+            results = [r for chunk in pool.map(_run_chunk, payloads) for r in chunk]
     else:
-        records = _run_chunk(payloads[0])
-    written, rows = [], []
-    for (v, suffix, _), (caps, side_z, side_p) in zip(points, records):
-        error = next((side for side in (side_z, side_p) if isinstance(side, Exception)), None)
+        results = _run_chunk(payloads[0])
+    written = []
+    if cfg.pm_caps is None and cfg.method != "zofe" and command != "converge":
+        # V and caps of every point (converge writes its own), nan where it failed
+        written.append(_write_tsv(out / "converged_caps.tsv", ("V", "caps"), (
+            [r.point.aggregate.coupling_v for r in results],
+            [math.nan if r.error is not None else r.caps for r in results])))
+    for r in results:
         # outside a scan each side that succeeded; in a scan, kept spectra in pairs
-        if not scan or (cfg.keep_spectra and error is None):
-            for method, side in (("zofe", side_z), ("pm", side_p)):
-                if isinstance(side, tuple):
-                    written += _write_point(out, method, suffix, side)
-        if scan and error is not None:
-            print(f"scan point V = {v:g} failed: {error}", file=sys.stderr)
-        value = overlap(side_z[1], side_p[1]) if scan and error is None else math.nan
-        rows.append((v, caps, value, error))
-    errors = [error for *_, error in rows if error is not None]
+        if not scan or (cfg.keep_spectra and r.error is None):
+            for method, spectrum in r.spectra.items():
+                name, trace = f"{method}{r.point.suffix}.tsv", r.traces.get(method)
+                if trace is not None:
+                    written.append(_write_tsv(out / f"trace_{name}", ("t", "ReM", "ImM"), (
+                        trace.times, trace.samples.real, trace.samples.imag)))
+                written.append(_write_tsv(out / f"spectrum_{name}", ("nu", "A"),
+                                          (spectrum.nu, spectrum.values)))
+        if scan and r.error is not None:
+            print(f"scan point V = {r.point.v:g} failed: {r.error}", file=sys.stderr)
+    errors = [r.error for r in results if r.error is not None]
     if errors and not scan:
         raise errors[0]
-    return written, rows
+    return written, results
 
 
 def run_spectrum(cfg: ScenarioConfig, out_dir, threads=1) -> list:
-    """Write spectrum_<method>[_V..].tsv and trace_<method>[_V..].tsv files;
-    returns their paths in point order."""
-    return _run(cfg, _points(cfg, "spectrum"), out_dir, threads)[0]
+    """Write trace_<method>[_V..].tsv and spectrum_<method>[_V..].tsv files,
+    after converged_caps.tsv with auto caps; returns their paths in order."""
+    return _run(cfg, "spectrum", out_dir, threads)[0]
 
 
 def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
-    """Overlap between the two methods over the coupling scan: writes
-    overlap.tsv (ascending V) and, with auto caps, converged_caps.tsv (the
-    caps each point certified), failed points as nan; returns (paths, n_failed)."""
+    """Overlap of the two methods over the coupling scan: overlap.tsv (ascending V,
+    failed points nan), then the files of ``_run``; returns (paths, n_failed)."""
     if cfg.scan is None or cfg.method != "both":
         raise ConfigError("vscan needs a [scan] block and method = both")
-    written, rows = _run(cfg, _points(cfg, "vscan"), out_dir, threads, scan=True)
-    couplings = [row[0] for row in rows]
-    written.insert(0, _write_tsv(Path(out_dir) / "overlap.tsv", ("V", "overlap_percent"),
-                                 [couplings, [row[2] for row in rows]]))
-    if cfg.pm_caps is None:
-        certified = [math.nan if error is not None else caps for _, caps, _, error in rows]
-        written.insert(1, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("V", "caps"),
-                                     [couplings, certified]))
-    return written, sum(row[3] is not None for row in rows)
+    written, results = _run(cfg, "vscan", out_dir, threads)
+    written.insert(0, _write_tsv(Path(out_dir) / "overlap.tsv", ("V", "overlap_percent"), (
+        [r.point.v for r in results],
+        [math.nan if r.error is not None else overlap(r.spectra["zofe"], r.spectra["pm"])
+         for r in results])))
+    return written, sum(r.error is not None for r in results)
 
 
 def run_converge(cfg: ScenarioConfig, out_dir):
     """Certify the pseudomode cap; write it, the converged spectrum and trace."""
     # the ladder runs on the pseudomode side alone, even with explicit caps
     cfg = dataclasses.replace(cfg, method="pm", pm_caps=None)
-    written, [(_, caps, _, _)] = _run(cfg, _points(cfg, "converge"), out_dir)
-    written.insert(0, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("caps",), ([caps],)))
-    print(f"converged caps: {caps}")
+    written, [result] = _run(cfg, "converge", out_dir)
+    written.insert(0, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("caps",), ([result.caps],)))
+    print(f"converged caps: {result.caps}")
     return written
 
 
@@ -501,21 +502,22 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=("zofe", "pm", "both"),
                        help="override the configured method")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes (the couplings of a run are split "
-                            "into chunks; converge has one; never changes the "
-                            "files or the error)")
-    args = parser.parse_args(argv)
-
+                       help="worker processes, one per chunk of the couplings "
+                            "(converge has one); never changes the files or the error")
     try:
+        args = parser.parse_args(argv)
+        if args.threads < 1:
+            sub.choices[args.command].error("argument --threads: must be 1 or more")
         cfg = load_scenario(args.config, method_override=args.method)
         if args.command == "vscan":
-            _, n_failed = run_vscan(cfg, args.out, threads=args.threads)
-            if n_failed:
-                return 3
+            if run_vscan(cfg, args.out, threads=args.threads)[1]:
+                return 3  # a partial scan
         elif args.command == "spectrum":
             run_spectrum(cfg, args.out, threads=args.threads)
         else:
             run_converge(cfg, args.out)  # one point: nothing for --threads to split
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the code of a solver error
+        return 1 if exc.code else 0  # 0 after --help
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from aggspec.cli import (
 from aggspec.model import AggregateSpec, LorentzianBath
 from aggspec.propagation import PropagationConfig, PropagationError
 from aggspec.spectra import CorrelationTrace, absorption_from_trace, overlap
-from aggspec.zofe import _run_lanes
+from aggspec.zofe import _run_lanes, propagate_zofe
 
 MONOMER_CFG = """
 [aggregate]
@@ -280,8 +280,8 @@ def test_scan_step_ladder_matches_per_lane_ladder():
     aggs = [AggregateSpec.equal_parallel(2, coupling_v=v) for v in (-0.425, 0.425, 0.429)]
     samples, mu_sq, levels, _, _, _ = _run_lanes(aggs, bath, cfg.propagation)
     records = _run_chunk((dataclasses.replace(cfg, method="zofe"),
-                          [(None, "", agg) for agg in aggs], False))
-    spectra = [spectrum for _, (_, spectrum), _ in records]
+                          [cli._Point(None, "", agg, bath) for agg in aggs], False))
+    spectra = [record.spectra["zofe"] for record in records]
     assert list(levels) == [1, 1, 1]
     whole = PropagationConfig(dt=0.005, t_max=20.0)
     for b, agg in enumerate(aggs):
@@ -397,6 +397,9 @@ pm_tolerance = 1e-3
     for name in ("trace_pm.tsv", "spectrum_pm.tsv"):
         assert (tmp_path / "spectrum" / name).read_bytes() == \
             (tmp_path / "converge" / name).read_bytes()
+    # spectrum records V and caps per point, as vscan does; converge the cap alone
+    assert (tmp_path / "spectrum" / "converged_caps.tsv").read_text() == "# V caps\n1.5\t8\n"
+    assert (tmp_path / "converge" / "converged_caps.tsv").read_text() == "# caps\n8\n"
 
 
 def test_vscan_auto_caps_certifies_every_point(tmp_path, monkeypatch):
@@ -474,14 +477,14 @@ def test_a_failing_spectrum_run_does_not_depend_on_threads(tmp_path, monkeypatch
     # they run the patched sides)
     pm_trace, zofe_lanes = cli._pm_trace, cli.propagate_zofe_lanes
 
-    def failing_pm_trace(cfg, agg):
-        if agg.coupling_v == -0.2:
+    def failing_pm_trace(cfg, point):
+        if point.v == -0.2:
             return cfg.pm_caps, PropagationError("pseudomode failed at V = -0.2")
-        return pm_trace(cfg, agg)
+        return pm_trace(cfg, point)
 
-    def failing_zofe_lanes(aggs, bath, config):
+    def failing_zofe_lanes(aggs, baths, config):
         return [PropagationError("ZOFE failed at V = 0.2") if agg.coupling_v == 0.2 else trace
-                for agg, trace in zip(aggs, zofe_lanes(aggs, bath, config))]
+                for agg, trace in zip(aggs, zofe_lanes(aggs, baths, config))]
 
     monkeypatch.setattr(cli, "_pm_trace", failing_pm_trace)
     monkeypatch.setattr(cli, "propagate_zofe_lanes", failing_zofe_lanes)
@@ -504,9 +507,89 @@ def test_a_recorded_ladder_error_holds_no_frames(tmp_path, monkeypatch):
     # holds the ladder's rungs; a failed point records neither
     monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 6)  # caps 4 at most
     cfg = load_scenario(write_cfg(tmp_path, MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")))
-    caps, error = cli._pm_trace(cfg, cfg.aggregate)
+    (point,) = cli._points(cfg, "converge")
+    caps, error = cli._pm_trace(cfg, point)
     assert (caps, type(error)) == (None, pseudomode.CapConvergenceError)
     assert error.__traceback__ is None and error.__cause__ is None and error.__context__ is None
+
+
+def test_spectrum_with_auto_caps_records_the_caps_of_each_point(tmp_path, monkeypatch, capsys):
+    # a failed ladder records nan, and the caps file is written before the
+    # first failure is reported, at one thread as at two; a ZOFE-only run
+    # writes none (worker processes fork, so they run the patched ladder)
+    converge_caps = pseudomode.converge_caps
+
+    def failing(agg, *args, **kwargs):
+        if agg.coupling_v == 0.0:
+            raise PropagationError("no cap converged at V = 0")
+        return converge_caps(agg, *args, **kwargs)
+
+    monkeypatch.setattr(pseudomode, "converge_caps", failing)
+    text = VSCAN_CFG.replace("t_max = 150\neta = 0.01", "t_max = 30\neta = 0.4") \
+                    .replace("pm_caps = 12", "pm_caps = auto\nv_values = -0.2 0 0.2")
+    path = write_cfg(tmp_path, text)
+    outputs = []
+    for n in ("1", "2"):
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / n),
+                     "--threads", n]) == 2
+        outputs.append(({p.name: p.read_bytes() for p in (tmp_path / n).iterdir()},
+                        capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    files, (stdout, stderr) = outputs[0]
+    assert (stdout, stderr) == ("", "solver error: no cap converged at V = 0\n")
+    assert files["converged_caps.tsv"].startswith(b"# V caps\n")
+    v, caps = read_tsv(tmp_path / "1" / "converged_caps.tsv").T
+    assert v.tolist() == [-0.2, 0.0, 0.2]
+    assert np.isnan(caps[1]) and caps[0] == caps[2] >= 1
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "zofe"),
+                 "--method", "zofe"]) == 0
+    assert not (tmp_path / "zofe" / "converged_caps.tsv").exists()
+
+
+def test_each_point_runs_under_its_own_bath(tmp_path):
+    # two points that differ only in the bath, the fig1a bath at gamma = 0.25
+    # and at 0.5 (one term each): they share one ZOFE batch, and each side's
+    # trace is the one its own bath gives, not the configured bath's
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    narrow, wide = (load_scenario(configs / name)
+                    for name in ("fig1a_scan.cfg", "fig1a_scan_gamma05.cfg"))
+    config = PropagationConfig(dt=0.01, t_max=20.0)
+    cfg = dataclasses.replace(narrow, propagation=config, eta=0.5)
+    agg = AggregateSpec.equal_parallel(2, coupling_v=0.3)
+    points = [cli._Point(0.3, f"_bath{k}", agg, c.bath) for k, c in enumerate((narrow, wide))]
+    assert points[0].bath != points[1].bath and points[0].bath.count == points[1].bath.count
+    _, results = cli._run(cfg, "spectrum", tmp_path, points=points)
+    for result in results:
+        assert result.error is None and result.caps == cfg.pm_caps
+        zofe = propagate_zofe(agg, result.point.bath, config)
+        assert np.array_equal(result.traces["zofe"].samples, zofe.samples)
+        pm = pseudomode.krylov_correlation(agg, result.point.bath, config, caps=cfg.pm_caps)
+        assert np.array_equal(result.traces["pm"].samples, pm.samples)
+    # the baths give different traces, so a lane run under the wrong one would fail above
+    assert np.max(np.abs(results[0].traces["zofe"].samples
+                         - results[1].traces["zofe"].samples)) > 1e-2 * agg.mu_tot_sq
+
+
+@pytest.mark.parametrize("args", [
+    [],  # no --config
+    ["--threads", "abc"],
+    ["--threads", "0"],
+    ["--threads", "-2"],
+])
+def test_a_usage_error_exits_1(tmp_path, capsys, args):
+    # 1 is the code of a config error; argparse's own 2 would read as a solver error
+    if args:
+        args = ["--config", str(write_cfg(tmp_path, STICK_CFG))] + args
+    out = tmp_path / "out"
+    assert main(["vscan", "--out", str(out)] + args) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("usage: aggspec") and "error: " in stderr
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["vscan", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: aggspec vscan")
 
 
 def test_workers_compute_and_only_the_parent_writes(tmp_path, monkeypatch):
@@ -526,8 +609,11 @@ def test_workers_compute_and_only_the_parent_writes(tmp_path, monkeypatch):
                              "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
     spectrum = scan.replace("pm_caps = 12", "pm_caps = 12\nv_values = " +
                             " ".join(f"{v:g}" for v in couplings))
+    # auto caps add converged_caps.tsv, the caps the ladder certified at each point
+    auto = spectrum.replace("pm_caps = 12", "pm_caps = auto")
     for name, run, text, n_files in (("vscan", run_vscan, scan, 11),
-                                     ("spectrum", run_spectrum, spectrum, 20)):
+                                     ("spectrum", run_spectrum, spectrum, 20),
+                                     ("auto", run_spectrum, auto, 21)):
         cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
         outputs = []
         for threads in (1, 2):
@@ -574,7 +660,7 @@ def test_couplings_that_share_file_names_are_a_config_error(tmp_path, capsys):
         assert not out.exists()
     # a scan that keeps no spectra writes only overlap.tsv, so it may zoom in
     fine = load_scenario(write_cfg(tmp_path, scan, "fine.cfg"))
-    assert [suffix for _, suffix, _ in cli._points(fine, "vscan")] == ["_V1"] * 3
+    assert [point.suffix for point in cli._points(fine, "vscan")] == ["_V1"] * 3
 
 
 def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
