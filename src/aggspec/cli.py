@@ -15,8 +15,8 @@ cannot silently change a run.  Blocks:
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
 ``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``);
 with ``pm_caps = auto`` and a pseudomode side both write converged_caps.tsv,
-the V and caps of each point.  ``converge`` certifies the pseudomode cap,
-writes it to converged_caps.tsv and writes the converged spectrum.
+the V and caps of each point.  ``converge`` is ``spectrum`` with
+``method = pm`` and ``pm_caps = auto``: it certifies the cap at each point.
 Output files are plain TSV with ``#`` headers and 17-significant-digit
 numbers, byte-identical across reruns; ``--threads`` only changes wall time.
 
@@ -27,9 +27,9 @@ per worker process.  A chunk runs its ZOFE side as one lane batch
 (``propagate_zofe_lanes``), each lane under its point's bath, then the
 pseudomode side point by point, and returns one ``_Result`` per point
 without writing a file.  The parent then writes every file from the
-results in point order; a scan lists its failed points, the other
-subcommands raise the first.  So neither the files nor the error depend on
-the split.  With ``pm_caps = auto`` every point runs the cap ladder.
+results in point order and lists every failed point with a V; outside a
+scan it then raises the first failure.  So neither the files nor the error
+depend on the split.  With ``pm_caps = auto`` every point runs the cap ladder.
 The pseudomode side takes every trace from the Lanczos recursion of
 ``krylov_correlation``: no time step, dt sets only its sample grid.
 ``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
@@ -340,22 +340,20 @@ class _Result:
     error: Exception | None
 
 
-def _points(cfg: ScenarioConfig, command):
-    """The points of a subcommand, in order, under the configured bath: the scan
-    grid, the ``v_values`` of ``spectrum`` or the configured aggregate (V None,
+def _points(cfg: ScenarioConfig, scan=False):
+    """The points of a run, in order, under the configured bath: the scan grid
+    (``scan``), else the ``v_values`` or else the configured aggregate (V None,
     no suffix).  Points whose files are written must not share a suffix."""
-    couplings = (None,)
-    if command == "vscan":
+    couplings = cfg.v_values or (None,)
+    if scan:
         v_min, v_max, v_steps = cfg.scan
         couplings = [v_min] if v_steps == 1 else \
             v_min + (v_max - v_min) * np.arange(v_steps) / (v_steps - 1)
-    elif command == "spectrum" and cfg.v_values:
-        couplings = cfg.v_values
     points = [_Point(None, "", cfg.aggregate, cfg.bath) if v is None else
               _Point(float(v), f"_V{v:g}", dataclasses.replace(cfg.aggregate, coupling_v=float(v)),
                      cfg.bath) for v in couplings]
     suffixes = [point.suffix for point in points]
-    if (command != "vscan" or cfg.keep_spectra) and len(set(suffixes)) < len(suffixes):
+    if (not scan or cfg.keep_spectra) and len(set(suffixes)) < len(suffixes):
         clash = [point.v for point in points if suffixes.count(point.suffix) > 1]
         raise ConfigError(f"couplings {clash} would write files of the same name")
     return points
@@ -410,14 +408,13 @@ def _run_chunk(payload):
     return results
 
 
-def _run(cfg: ScenarioConfig, command, out_dir, threads=1, points=None):
-    """Compute the points of ``command`` (or ``points``) in ``threads``
-    contiguous chunks, the first ones longer by one where the split is uneven,
-    in one worker process each if two or more, then write every file here in
-    point order.  Returns (files, one _Result per point); a scan lists its
-    failures, other runs raise the first."""
-    points = points or _points(cfg, command)
-    scan = command == "vscan"
+def _run(cfg: ScenarioConfig, out_dir, threads=1, scan=False, points=None):
+    """Compute the points of the run (or ``points``) in ``threads`` contiguous
+    chunks, the first ones longer by one where the split is uneven, in one
+    worker process each if two or more, then write every file here in point
+    order.  Returns (files, one _Result per point); every failed point with a
+    V is listed, and a run that is not a scan then raises the first failure."""
+    points = points or _points(cfg, scan)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_chunks = max(1, min(threads, len(points)))
@@ -432,8 +429,8 @@ def _run(cfg: ScenarioConfig, command, out_dir, threads=1, points=None):
     else:
         results = _run_chunk(payloads[0])
     written = []
-    if cfg.pm_caps is None and cfg.method != "zofe" and command != "converge":
-        # V and caps of every point (converge writes its own), nan where it failed
+    if cfg.pm_caps is None and cfg.method != "zofe":
+        # V and caps of every point, nan where it failed
         written.append(_write_tsv(out / "converged_caps.tsv", ("V", "caps"), (
             [r.point.aggregate.coupling_v for r in results],
             [math.nan if r.error is not None else r.caps for r in results])))
@@ -447,8 +444,8 @@ def _run(cfg: ScenarioConfig, command, out_dir, threads=1, points=None):
                         trace.times, trace.samples.real, trace.samples.imag)))
                 written.append(_write_tsv(out / f"spectrum_{name}", ("nu", "A"),
                                           (spectrum.nu, spectrum.values)))
-        if scan and r.error is not None:
-            print(f"scan point V = {r.point.v:g} failed: {r.error}", file=sys.stderr)
+        if r.error is not None and r.point.v is not None:
+            print(f"point V = {r.point.v:g} failed: {r.error}", file=sys.stderr)
     errors = [r.error for r in results if r.error is not None]
     if errors and not scan:
         raise errors[0]
@@ -458,7 +455,7 @@ def _run(cfg: ScenarioConfig, command, out_dir, threads=1, points=None):
 def run_spectrum(cfg: ScenarioConfig, out_dir, threads=1) -> list:
     """Write trace_<method>[_V..].tsv and spectrum_<method>[_V..].tsv files,
     after converged_caps.tsv with auto caps; returns their paths in order."""
-    return _run(cfg, "spectrum", out_dir, threads)[0]
+    return _run(cfg, out_dir, threads)[0]
 
 
 def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
@@ -466,7 +463,7 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
     failed points nan), then the files of ``_run``; returns (paths, n_failed)."""
     if cfg.scan is None or cfg.method != "both":
         raise ConfigError("vscan needs a [scan] block and method = both")
-    written, results = _run(cfg, "vscan", out_dir, threads)
+    written, results = _run(cfg, out_dir, threads, scan=True)
     written.insert(0, _write_tsv(Path(out_dir) / "overlap.tsv", ("V", "overlap_percent"), (
         [r.point.v for r in results],
         [math.nan if r.error is not None else overlap(r.spectra["zofe"], r.spectra["pm"])
@@ -474,14 +471,11 @@ def run_vscan(cfg: ScenarioConfig, out_dir, threads=1):
     return written, sum(r.error is not None for r in results)
 
 
-def run_converge(cfg: ScenarioConfig, out_dir):
-    """Certify the pseudomode cap; write it, the converged spectrum and trace."""
-    # the ladder runs on the pseudomode side alone, even with explicit caps
-    cfg = dataclasses.replace(cfg, method="pm", pm_caps=None)
-    written, [result] = _run(cfg, "converge", out_dir)
-    written.insert(0, _write_tsv(Path(out_dir) / "converged_caps.tsv", ("caps",), ([result.caps],)))
-    print(f"converged caps: {result.caps}")
-    return written
+def run_converge(cfg: ScenarioConfig, out_dir, threads=1) -> list:
+    """``run_spectrum`` on the pseudomode side alone with the cap ladder at
+    every point, even where the scenario gives explicit caps."""
+    # _run itself: bench/tracing.py sums the bytes of every traced cli.run_* call
+    return _run(dataclasses.replace(cfg, method="pm", pm_caps=None), out_dir, threads)[0]
 
 
 def main(argv=None) -> int:
@@ -502,8 +496,8 @@ def main(argv=None) -> int:
         p.add_argument("--method", choices=("zofe", "pm", "both"),
                        help="override the configured method")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes, one per chunk of the couplings "
-                            "(converge has one); never changes the files or the error")
+                       help="worker processes, one per chunk of the couplings; "
+                            "never changes the files or the error")
     try:
         args = parser.parse_args(argv)
         if args.threads < 1:
@@ -512,10 +506,9 @@ def main(argv=None) -> int:
         if args.command == "vscan":
             if run_vscan(cfg, args.out, threads=args.threads)[1]:
                 return 3  # a partial scan
-        elif args.command == "spectrum":
-            run_spectrum(cfg, args.out, threads=args.threads)
         else:
-            run_converge(cfg, args.out)  # one point: nothing for --threads to split
+            run = run_spectrum if args.command == "spectrum" else run_converge
+            run(cfg, args.out, threads=args.threads)
     except SystemExit as exc:  # argparse exits 2 on a usage error, the code of a solver error
         return 1 if exc.code else 0  # 0 after --help
     except ConfigError as exc:

@@ -229,13 +229,12 @@ def test_vscan_threads_do_not_change_output(tmp_path):
                              "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
     couplings = (-0.425, -0.2125, 0.0, 0.2125, 0.425)
     # spectrum with both methods on the same five couplings, and converge,
-    # which has one point: --threads has nothing to split there
+    # which runs the cap ladder at each of them
     spectrum = five.replace("pm_caps = 12", "pm_caps = 12\nv_values = " +
                             " ".join(f"{v:g}" for v in couplings))
-    converge = MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")
     written = {}
     for name, text in (("three", three), ("five", five), ("spectrum", spectrum),
-                       ("converge", converge)):
+                       ("converge", spectrum)):
         cfg_path = write_cfg(tmp_path, text, f"{name}.cfg")
         command = name if name in ("spectrum", "converge") else "vscan"
         outputs = []
@@ -251,7 +250,8 @@ def test_vscan_threads_do_not_change_output(tmp_path):
     assert written["spectrum"] == sorted(
         f"{kind}_{method}_V{v:g}.tsv" for kind in ("spectrum", "trace")
         for method in ("pm", "zofe") for v in couplings)
-    assert written["converge"] == ["converged_caps.tsv", "spectrum_pm.tsv", "trace_pm.tsv"]
+    assert written["converge"] == ["converged_caps.tsv"] + sorted(
+        f"{kind}_pm_V{v:g}.tsv" for kind in ("spectrum", "trace") for v in couplings)
 
 
 def test_a_ladder_failure_in_a_worker_process_exits_2(tmp_path, capsys):
@@ -267,7 +267,11 @@ def test_a_ladder_failure_in_a_worker_process_exits_2(tmp_path, capsys):
                      "--method", "pm", "--threads", n]) == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith("solver error: cap ladder needs 30421755 states at cap 16")
+    # one line per failed coupling, then the first failure once more
+    lines = errors[0].splitlines()
+    assert [line.split(" failed: ")[0] for line in lines[:-1]] == [
+        f"point V = {v}" for v in ("-1.5", "-0.41", "-0.1", "0.1", "0.44", "1.5")]
+    assert lines[-1].startswith("solver error: cap ladder needs 30421755 states at cap 16")
 
 
 def test_scan_step_ladder_matches_per_lane_ladder():
@@ -326,6 +330,8 @@ v_steps = 2
     path = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert main(["vscan", "--config", str(path), "--out", str(out)]) == 3
+    assert [line.split(" failed: ")[0] for line in capsys.readouterr().err.splitlines()] == \
+        ["point V = -0.5", "point V = 0.5"]
     data = Path(out / "overlap.tsv").read_text().splitlines()[1:]
     assert len(data) == 2
     for line in data:
@@ -347,10 +353,10 @@ def test_converge_subcommand_writes_caps(tmp_path):
     cfg = load_scenario(write_cfg(tmp_path, text))
     out = tmp_path / "out"
     run_converge(cfg, out)
-    assert (out / "converged_caps.tsv").read_text().splitlines()[0] == "# caps"
+    assert (out / "converged_caps.tsv").read_text().splitlines()[0] == "# V caps"
     caps = read_tsv(out / "converged_caps.tsv")
-    assert caps.shape == (1, 1)
-    assert caps[0, 0] >= 2
+    assert caps.shape == (1, 2)
+    assert caps[0, 0] == 0 and caps[0, 1] >= 2
     assert (out / "spectrum_pm.tsv").exists()
 
 
@@ -394,12 +400,35 @@ pm_tolerance = 1e-3
         dims.clear()
         run(cfg, tmp_path / command)
         assert dims == [12, 30, 105, 495, 2907], command
-    for name in ("trace_pm.tsv", "spectrum_pm.tsv"):
+    for name in ("trace_pm.tsv", "spectrum_pm.tsv", "converged_caps.tsv"):
         assert (tmp_path / "spectrum" / name).read_bytes() == \
             (tmp_path / "converge" / name).read_bytes()
-    # spectrum records V and caps per point, as vscan does; converge the cap alone
-    assert (tmp_path / "spectrum" / "converged_caps.tsv").read_text() == "# V caps\n1.5\t8\n"
-    assert (tmp_path / "converge" / "converged_caps.tsv").read_text() == "# caps\n8\n"
+    # both record V and caps per point, as vscan does
+    assert (tmp_path / "converge" / "converged_caps.tsv").read_text() == "# V caps\n1.5\t8\n"
+
+
+def test_converge_is_spectrum_with_the_ladder(tmp_path, capsys):
+    # converge on a ZOFE-only scenario with explicit caps runs spectrum with
+    # method = pm and pm_caps = auto: the same files byte for byte, at one
+    # worker process as at two, and one V caps row per coupling
+    text = VSCAN_CFG.replace("t_max = 150\neta = 0.01", "t_max = 30\neta = 0.4") \
+                    .replace("method = both", "method = zofe") \
+                    .replace("pm_caps = 12", "pm_caps = 12\nv_values = -0.3 0 0.3")
+    auto = write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = auto"), "auto.cfg")
+    assert main(["spectrum", "--config", str(auto), "--out", str(tmp_path / "spectrum"),
+                 "--method", "pm"]) == 0
+    expected = {p.name: p.read_bytes() for p in (tmp_path / "spectrum").iterdir()}
+    path = write_cfg(tmp_path, text)
+    for n in ("1", "2"):
+        out = tmp_path / "converge" / n
+        assert main(["converge", "--config", str(path), "--out", str(out), "--threads", n]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected, n
+    assert capsys.readouterr() == ("", "")
+    assert sorted(expected) == ["converged_caps.tsv"] + sorted(
+        f"{kind}_pm_V{v}.tsv" for kind in ("spectrum", "trace") for v in ("-0.3", "0", "0.3"))
+    assert expected["converged_caps.tsv"].startswith(b"# V caps\n")
+    v, caps = read_tsv(tmp_path / "spectrum" / "converged_caps.tsv").T
+    assert v.tolist() == [-0.3, 0.0, 0.3] and np.all(caps >= 1)
 
 
 def test_vscan_auto_caps_certifies_every_point(tmp_path, monkeypatch):
@@ -499,7 +528,10 @@ def test_a_failing_spectrum_run_does_not_depend_on_threads(tmp_path, monkeypatch
     files, (stdout, stderr) = outputs[0]
     assert sorted(files) == sorted(f"{kind}_{method}_V{v}.tsv" for kind in ("spectrum", "trace")
                                    for method, v in (("zofe", -0.2), ("zofe", 0), ("pm", 0)))
-    assert (stdout, stderr) == ("", "solver error: pseudomode failed at V = -0.2\n")
+    # every failed point in point order, then the first failure once more
+    assert (stdout, stderr) == ("", "point V = -0.2 failed: pseudomode failed at V = -0.2\n"
+                                    "point V = 0.2 failed: ZOFE failed at V = 0.2\n"
+                                    "solver error: pseudomode failed at V = -0.2\n")
 
 
 def test_a_recorded_ladder_error_holds_no_frames(tmp_path, monkeypatch):
@@ -507,7 +539,7 @@ def test_a_recorded_ladder_error_holds_no_frames(tmp_path, monkeypatch):
     # holds the ladder's rungs; a failed point records neither
     monkeypatch.setattr(pseudomode, "DEFAULT_MAX_STATES", 6)  # caps 4 at most
     cfg = load_scenario(write_cfg(tmp_path, MONOMER_CFG.replace("pm_caps = 10", "pm_caps = auto")))
-    (point,) = cli._points(cfg, "converge")
+    (point,) = cli._points(cfg)
     caps, error = cli._pm_trace(cfg, point)
     assert (caps, type(error)) == (None, pseudomode.CapConvergenceError)
     assert error.__traceback__ is None and error.__cause__ is None and error.__context__ is None
@@ -536,7 +568,8 @@ def test_spectrum_with_auto_caps_records_the_caps_of_each_point(tmp_path, monkey
                         capsys.readouterr()))
     assert outputs[0] == outputs[1]
     files, (stdout, stderr) = outputs[0]
-    assert (stdout, stderr) == ("", "solver error: no cap converged at V = 0\n")
+    assert (stdout, stderr) == ("", "point V = 0 failed: no cap converged at V = 0\n"
+                                    "solver error: no cap converged at V = 0\n")
     assert files["converged_caps.tsv"].startswith(b"# V caps\n")
     v, caps = read_tsv(tmp_path / "1" / "converged_caps.tsv").T
     assert v.tolist() == [-0.2, 0.0, 0.2]
@@ -558,7 +591,7 @@ def test_each_point_runs_under_its_own_bath(tmp_path):
     agg = AggregateSpec.equal_parallel(2, coupling_v=0.3)
     points = [cli._Point(0.3, f"_bath{k}", agg, c.bath) for k, c in enumerate((narrow, wide))]
     assert points[0].bath != points[1].bath and points[0].bath.count == points[1].bath.count
-    _, results = cli._run(cfg, "spectrum", tmp_path, points=points)
+    _, results = cli._run(cfg, tmp_path, points=points)
     for result in results:
         assert result.error is None and result.caps == cfg.pm_caps
         zofe = propagate_zofe(agg, result.point.bath, config)
@@ -609,11 +642,13 @@ def test_workers_compute_and_only_the_parent_writes(tmp_path, monkeypatch):
                              "v_min = -0.425\nv_max = 0.425\nv_steps = 5\nkeep_spectra = true")
     spectrum = scan.replace("pm_caps = 12", "pm_caps = 12\nv_values = " +
                             " ".join(f"{v:g}" for v in couplings))
-    # auto caps add converged_caps.tsv, the caps the ladder certified at each point
+    # auto caps add converged_caps.tsv, the caps the ladder certified at each
+    # point; converge writes it and the pseudomode side's files
     auto = spectrum.replace("pm_caps = 12", "pm_caps = auto")
     for name, run, text, n_files in (("vscan", run_vscan, scan, 11),
                                      ("spectrum", run_spectrum, spectrum, 20),
-                                     ("auto", run_spectrum, auto, 21)):
+                                     ("auto", run_spectrum, auto, 21),
+                                     ("converge", run_converge, spectrum, 11)):
         cfg = load_scenario(write_cfg(tmp_path, text, f"{name}.cfg"))
         outputs = []
         for threads in (1, 2):
@@ -660,7 +695,7 @@ def test_couplings_that_share_file_names_are_a_config_error(tmp_path, capsys):
         assert not out.exists()
     # a scan that keeps no spectra writes only overlap.tsv, so it may zoom in
     fine = load_scenario(write_cfg(tmp_path, scan, "fine.cfg"))
-    assert [point.suffix for point in cli._points(fine, "vscan")] == ["_V1"] * 3
+    assert [point.suffix for point in cli._points(fine, scan=True)] == ["_V1"] * 3
 
 
 def test_write_tsv_formats_each_value_to_17_digits(tmp_path):
