@@ -50,9 +50,9 @@ from .zofe import (
 __version__ = "0.1.0"
 
 _PSEUDOMODE_NAMES = frozenset({
-    "BasisSizeError", "CapConvergenceError", "assemble_generator", "converge_caps",
-    "count_occupation_vectors", "count_states", "embed_initial_state", "enumerate_basis",
-    "krylov_correlation", "pm_correlation", "propagate_pm",
+    "BasisSizeError", "CapConvergenceError", "assemble_generator", "basis_states",
+    "converge_caps", "count_occupation_vectors", "count_states", "embed_initial_state",
+    "enumerate_basis", "krylov_correlation", "pm_correlation", "propagate_pm",
 })
 
 

@@ -15,24 +15,20 @@ cannot silently change a run.  Blocks:
 Subcommands: ``spectrum`` writes spectrum_<method>.tsv and trace_<method>.tsv;
 ``vscan`` writes overlap.tsv over a coupling scan (method must be ``both``);
 with ``pm_caps = auto`` and a pseudomode side both write converged_caps.tsv,
-the V and caps of each point.  ``converge`` is ``spectrum`` with
-``method = pm`` and ``pm_caps = auto``: it certifies the cap at each point.
-Output files are plain TSV with ``#`` headers and 17-significant-digit
-numbers, byte-identical across reruns; ``--threads`` only changes wall time.
+the V and caps of each point.  ``converge`` (no ``--method``) is ``spectrum``
+with ``method = pm`` and ``pm_caps = auto``: it certifies the cap at each point.
 
 Every subcommand runs one pipeline over its points (``_Point``: V, file
 suffix, aggregate and bath): the scan grid, the ``v_values`` or the
-configured aggregate.  ``--threads`` splits them into contiguous chunks, one
-per worker process.  A chunk runs its ZOFE side as one lane batch
-(``propagate_zofe_lanes``), each lane under its point's bath, then the
-pseudomode side point by point, and returns one ``_Result`` per point
-without writing a file.  The parent then writes every file from the
-results in point order and lists every failed point with a V; outside a
-scan it then raises the first failure.  So neither the files nor the error
-depend on the split.  With ``pm_caps = auto`` every point runs the cap ladder.
-The pseudomode side takes every trace from the Lanczos recursion of
-``krylov_correlation``: no time step, dt sets only its sample grid.
-``pseudomode`` (and with it scipy.sparse) is imported only by runs using it.
+configured aggregate.  Before ``--out`` is made, ``_points`` rejects points
+that would share file names and explicit caps past the state budget.
+``--threads`` splits the points into contiguous chunks, one per worker
+process.  A chunk runs its ZOFE lanes as one batch, then the pseudomode side
+point by point (the cap ladder at auto caps), each under its point's bath,
+and returns one ``_Result`` per point without writing a file.  The parent
+writes every file in point order and lists every failed point with a V;
+outside a scan it then raises the first failure, so neither the files nor
+the error depend on the split.  Only a pseudomode side imports scipy.sparse.
 
 Exit codes: 0 ok, 1 config, usage or output error, 2 solver error, 3 partial scan.
 """
@@ -279,16 +275,8 @@ def load_scenario(path, method_override=None) -> ScenarioConfig:
         pm_caps = caps.pop()
         if pm_caps < 0:
             raise ConfigError("pm_caps must be >= 0")
-    if method != "zofe":
-        from . import pseudomode
-
-        if pm_caps is not None:
-            # the states a lane builds; whether it folds does not depend on V
-            try:
-                pseudomode.count_states(agg.n_monomers, [len(t) for t in bath.terms], pm_caps,
-                                        pseudomode._folds(agg, bath))
-            except pseudomode.BasisSizeError as exc:
-                raise ConfigError(f"pm_caps: {exc}") from exc
+    if method != "zofe":  # scipy.sparse loads with the scenario, not inside the run
+        from . import pseudomode  # noqa: F401
     pm_tolerance = _float(run.get("pm_tolerance", "1e-3"), "pm_tolerance")
     if not 0 < pm_tolerance < 1:  # at 1 or more the first overlap would always pass
         raise ConfigError("pm_tolerance must lie in (0, 1)")
@@ -343,7 +331,7 @@ class _Result:
 def _points(cfg: ScenarioConfig, scan=False):
     """The points of a run, in order, under the configured bath: the scan grid
     (``scan``), else the ``v_values`` or else the configured aggregate (V None,
-    no suffix).  Points whose files are written must not share a suffix."""
+    no suffix).  Clashing file names and explicit caps past the budget raise ConfigError."""
     couplings = cfg.v_values or (None,)
     if scan:
         v_min, v_max, v_steps = cfg.scan
@@ -356,6 +344,13 @@ def _points(cfg: ScenarioConfig, scan=False):
     if (not scan or cfg.keep_spectra) and len(set(suffixes)) < len(suffixes):
         clash = [point.v for point in points if suffixes.count(point.suffix) > 1]
         raise ConfigError(f"couplings {clash} would write files of the same name")
+    if cfg.pm_caps is not None and cfg.method != "zofe":
+        from . import pseudomode
+
+        try:  # the basis does not depend on V
+            pseudomode.basis_states(cfg.aggregate, cfg.bath, cfg.pm_caps)
+        except pseudomode.BasisSizeError as exc:
+            raise ConfigError(f"pm_caps: {exc}") from exc
     return points
 
 
@@ -493,8 +488,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--method", choices=("zofe", "pm", "both"),
-                       help="override the configured method")
+        if name != "converge":  # which runs method = pm
+            p.add_argument("--method", choices=("zofe", "pm", "both"),
+                           help="override the configured method")
         p.add_argument("--threads", type=int, default=1,
                        help="worker processes, one per chunk of the couplings; "
                             "never changes the files or the error")
@@ -502,7 +498,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             sub.choices[args.command].error("argument --threads: must be 1 or more")
-        cfg = load_scenario(args.config, method_override=args.method)
+        cfg = load_scenario(args.config, method_override=getattr(args, "method", None))
         if args.command == "vscan":
             if run_vscan(cfg, args.out, threads=args.threads)[1]:
                 return 3  # a partial scan

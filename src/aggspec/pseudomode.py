@@ -98,6 +98,7 @@ __all__ = [
     "CapConvergenceError",
     "count_occupation_vectors",
     "count_states",
+    "basis_states",
     "enumerate_basis",
     "assemble_generator",
     "embed_initial_state",
@@ -455,6 +456,11 @@ def _folds(agg, bath):
     mu = agg.mu_projections
     return (agg.n_monomers > 1 and (mu == mu[::-1]).all()
             and mirror_slots(agg, bath) is not None)
+
+
+def basis_states(agg: AggregateSpec, bath: LorentzianBath, caps: int) -> int:
+    """The ``count_states`` of the basis that ``krylov_correlation`` builds at ``caps``."""
+    return count_states(agg.n_monomers, [len(t) for t in bath.terms], caps, _folds(agg, bath))
 
 
 def _generator_and_state(agg, bath, caps):

@@ -753,23 +753,62 @@ def test_main_exit_codes(tmp_path):
     assert not (tmp_path / "g" / "spectrum_pm.tsv").exists()
 
 
-def test_over_budget_explicit_caps_are_a_config_error(tmp_path, capsys):
+def test_over_budget_explicit_caps_are_a_config_error(tmp_path, monkeypatch, capsys):
     # 2,003,001 states at caps 2000 on the mirror-even half of the dimer's
-    # basis: rejected while loading, before the ZOFE side runs, for every
-    # command that would build the basis
+    # basis: rejected with the run's points, before --out is made and before
+    # the ZOFE side runs, for every command that would build the basis
+    def no_lanes(*args):
+        raise AssertionError("the ZOFE side ran")
+
+    monkeypatch.setattr(cli, "propagate_zofe_lanes", no_lanes)
     path = write_cfg(tmp_path, VSCAN_CFG.replace("pm_caps = 12", "pm_caps = 2000"))
     for command in ("spectrum", "vscan"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 1
-        assert "2003001 states, exceeding the budget" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "config error: pm_caps: basis would hold 2003001 "
+                                           "states, exceeding the budget of 2000000\n")
         assert not (tmp_path / command).exists()
+    # vscan checks its [scan] block and method before the points and their caps
+    path = write_cfg(tmp_path, VSCAN_CFG.replace("pm_caps = 12", "pm_caps = 2000")
+                     .split("[scan]")[0], "noscan.cfg")
+    assert main(["vscan", "--config", str(path), "--out", str(tmp_path / "noscan")]) == 1
+    assert capsys.readouterr().err == \
+        "config error: vscan needs a [scan] block and method = both\n"
     # the 7-site fig1a chain builds 1,211,859 of its 2,422,728 states at caps
     # 17, within the budget, and would build 2,303,015 at caps 19
     text = (Path(__file__).resolve().parents[1] / "configs" / "fig1a_scan.cfg").read_text() \
         .replace("n_monomers = 2\nepsilon = 0 0", "n_monomers = 7\nepsilon = 0")
-    assert load_scenario(write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 17"))) \
-        .pm_caps == 17
+    fits = load_scenario(write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 17")))
+    assert pseudomode.basis_states(fits.aggregate, fits.bath, 17) == 1_211_859
+    assert [point.v for point in cli._points(fits)] == [None]
+    over = load_scenario(write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 19")))
     with pytest.raises(ConfigError, match="2303015 states, exceeding the budget"):
-        load_scenario(write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 19")))
+        cli._points(over)
+
+
+def test_converge_runs_its_ladder_past_over_budget_caps(tmp_path, capsys):
+    # converge replaces the caps with the ladder, so explicit caps past the
+    # budget (fig1a at caps 2000, 2,003,001 states) are never checked: the
+    # ladder certifies caps 8 at the configured V = 0, at one thread as at two
+    text = (Path(__file__).resolve().parents[1] / "configs" / "fig1a_scan.cfg").read_text()
+    path = write_cfg(tmp_path, text.replace("pm_caps = 12", "pm_caps = 2000"))
+    caps = []
+    for n in ("1", "2"):
+        out = tmp_path / n
+        assert main(["converge", "--config", str(path), "--out", str(out), "--threads", n]) == 0
+        caps.append((out / "converged_caps.tsv").read_bytes())
+    assert caps == [b"# V caps\n0\t8\n"] * 2
+    assert capsys.readouterr() == ("", "")
+
+
+def test_converge_takes_no_method(tmp_path, capsys):
+    # converge always runs method = pm: --method there is a usage error, before --out is made
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(write_cfg(tmp_path, MONOMER_CFG)), "--out", str(out),
+                 "--method", "zofe"]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("usage: aggspec")
+    assert "unrecognized arguments: --method zofe" in stderr
+    assert not out.exists()
 
 
 def test_pm_caps_is_one_cap_counted_without_tables(tmp_path, monkeypatch, capsys):
@@ -789,7 +828,7 @@ def test_pm_caps_is_one_cap_counted_without_tables(tmp_path, monkeypatch, capsys
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="1000001 states, exceeding the budget"):
-            load_scenario(path)
+            cli._points(load_scenario(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
